@@ -28,6 +28,22 @@ type workload =
   | Ycsb of Workload.Ycsb.conf
   | Smallbank of Workload.Smallbank.conf
 
+(* A workload paired with its key sampler.  Every runner builds one per
+   run, before its client loop, and all its clients draw from it: a
+   {!Sim.Dist.zipf} costs O(keys) to build and is immutable afterwards,
+   so sharing it leaves each client's draws unchanged. *)
+type sampled =
+  | S_tpcc of Workload.Tpcc.conf
+  | S_retwis of Sim.Dist.zipf
+  | S_ycsb of Workload.Ycsb.conf * Sim.Dist.zipf
+  | S_smallbank of Workload.Smallbank.conf * Sim.Dist.zipf
+
+let with_sampler = function
+  | Tpcc conf -> S_tpcc conf
+  | Retwis conf -> S_retwis (Workload.Retwis.sampler conf)
+  | Ycsb conf -> S_ycsb (conf, Workload.Ycsb.sampler conf)
+  | Smallbank conf -> S_smallbank (conf, Workload.Smallbank.sampler conf)
+
 type exp = {
   e_system : system;
   e_setup : Latency.setup;
@@ -140,7 +156,12 @@ let make_cluster_ops engine net replica_nodes ~regions ?(on_heal = fun () -> ())
     co_set_extra_delay = (fun d -> Simnet.Net.set_extra_delay net ~max_us:d);
   }
 
-let inject faults ops = match faults with None -> () | Some f -> f ops
+(* Hand the built cluster to the fault schedule; this closes the run's
+   setup phase, so everything the probe measures after it is
+   simulation. *)
+let inject ~probe faults ops =
+  (match faults with None -> () | Some f -> f ops);
+  Obs.Engstat.mark_setup probe
 
 (* --- Metrics sampling ----------------------------------------------------
 
@@ -520,6 +541,7 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
         record_phases r;
         f (txn_of_morty r)
   in
+  let sampled = with_sampler e.e_workload in
   let clients =
     List.init e.e_clients (fun i ->
         let client =
@@ -529,8 +551,8 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
         in
         let crng = Sim.Rng.split rng in
         let pick =
-          match e.e_workload with
-          | Tpcc conf ->
+          match sampled with
+          | S_tpcc conf ->
             let home_w = tpcc_home conf i in
             fun rng ->
               let kind = Workload.Tpcc.pick_kind rng in
@@ -540,21 +562,18 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
                 Obs.Lineage.next_txn_label lineage
                   (Workload.Tpcc.kind_name kind);
                 Morty_tpcc.run conf client rng ~home_w kind done_
-          | Retwis conf ->
-            let zipf = Workload.Retwis.sampler conf in
+          | S_retwis zipf ->
             fun rng ->
               let kind = Workload.Retwis.pick_kind rng in
               fun client rng done_ ->
                 Obs.Lineage.next_txn_label lineage
                   (Workload.Retwis.kind_name kind);
                 Morty_retwis.run client rng zipf kind done_
-          | Ycsb conf ->
-            let zipf = Workload.Ycsb.sampler conf in
+          | S_ycsb (conf, zipf) ->
             fun _rng client rng done_ ->
               Obs.Lineage.next_txn_label lineage "ycsb";
               Morty_ycsb.run conf client rng zipf done_
-          | Smallbank conf ->
-            let zipf = Workload.Smallbank.sampler conf in
+          | S_smallbank (conf, zipf) ->
             fun rng ->
               let kind = Workload.Smallbank.pick_kind rng in
               fun client rng done_ ->
@@ -598,7 +617,7 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
         replicas)
   in
   let acc = fresh_acc () in
-  inject faults
+  inject ~probe faults
     (morty_ops ~engine ~net ~rng ~cfg ~cores:e.e_cores ~prof ~mon ~lineage
        ~regions
        ~on_heal:(fun () -> Avail.note_heal av ~now:(Engine.now engine))
@@ -712,6 +731,7 @@ let run_tapir ?(no_dist = false) ?on_txn ?faults ?(obs = Obs.Sink.null ())
         record_phases r;
         f (txn_of_tapir r)
   in
+  let sampled = with_sampler e.e_workload in
   List.iteri
     (fun i () ->
       let partition =
@@ -737,29 +757,26 @@ let run_tapir ?(no_dist = false) ?on_txn ?faults ?(obs = Obs.Sink.null ())
       in
       let crng = Sim.Rng.split rng in
       let pick =
-        match e.e_workload with
-        | Tpcc conf ->
+        match sampled with
+        | S_tpcc conf ->
           let home_w = tpcc_home conf i in
           fun rng ->
             let kind = Workload.Tpcc.pick_kind rng in
             fun client rng done_ ->
               Obs.Lineage.next_txn_label lineage (Workload.Tpcc.kind_name kind);
               Tapir_tpcc.run conf client rng ~home_w kind done_
-        | Retwis conf ->
-          let zipf = Workload.Retwis.sampler conf in
+        | S_retwis zipf ->
           fun rng ->
             let kind = Workload.Retwis.pick_kind rng in
             fun client rng done_ ->
               Obs.Lineage.next_txn_label lineage
                 (Workload.Retwis.kind_name kind);
               Tapir_retwis.run client rng zipf kind done_
-        | Ycsb conf ->
-          let zipf = Workload.Ycsb.sampler conf in
+        | S_ycsb (conf, zipf) ->
           fun _rng client rng done_ ->
             Obs.Lineage.next_txn_label lineage "ycsb";
             Tapir_ycsb.run conf client rng zipf done_
-        | Smallbank conf ->
-          let zipf = Workload.Smallbank.sampler conf in
+        | S_smallbank (conf, zipf) ->
           fun rng ->
             let kind = Workload.Smallbank.pick_kind rng in
             fun client rng done_ ->
@@ -861,7 +878,7 @@ let run_tapir ?(no_dist = false) ?on_txn ?faults ?(obs = Obs.Sink.null ())
       acc.fa_restarts <- acc.fa_restarts + 1
     end
   in
-  inject faults
+  inject ~probe faults
     (make_cluster_ops engine net
        (Array.concat (Array.to_list group_nodes))
        ~regions
@@ -969,6 +986,7 @@ let run_spanner ?on_txn ?faults ?(obs = Obs.Sink.null ())
         record_phases r;
         f (txn_of_spanner r)
   in
+  let sampled = with_sampler e.e_workload in
   List.iteri
     (fun i () ->
       let partition =
@@ -987,29 +1005,26 @@ let run_spanner ?on_txn ?faults ?(obs = Obs.Sink.null ())
       in
       let crng = Sim.Rng.split rng in
       let pick =
-        match e.e_workload with
-        | Tpcc conf ->
+        match sampled with
+        | S_tpcc conf ->
           let home_w = tpcc_home conf i in
           fun rng ->
             let kind = Workload.Tpcc.pick_kind rng in
             fun client rng done_ ->
               Obs.Lineage.next_txn_label lineage (Workload.Tpcc.kind_name kind);
               Spanner_tpcc.run conf client rng ~home_w kind done_
-        | Retwis conf ->
-          let zipf = Workload.Retwis.sampler conf in
+        | S_retwis zipf ->
           fun rng ->
             let kind = Workload.Retwis.pick_kind rng in
             fun client rng done_ ->
               Obs.Lineage.next_txn_label lineage
                 (Workload.Retwis.kind_name kind);
               Spanner_retwis.run client rng zipf kind done_
-        | Ycsb conf ->
-          let zipf = Workload.Ycsb.sampler conf in
+        | S_ycsb (conf, zipf) ->
           fun _rng client rng done_ ->
             Obs.Lineage.next_txn_label lineage "ycsb";
             Spanner_ycsb.run conf client rng zipf done_
-        | Smallbank conf ->
-          let zipf = Workload.Smallbank.sampler conf in
+        | S_smallbank (conf, zipf) ->
           fun rng ->
             let kind = Workload.Smallbank.pick_kind rng in
             fun client rng done_ ->
@@ -1111,7 +1126,7 @@ let run_spanner ?on_txn ?faults ?(obs = Obs.Sink.null ())
       acc.fa_restarts <- acc.fa_restarts + 1
     end
   in
-  inject faults
+  inject ~probe faults
     (make_cluster_ops engine net
        (Array.concat (Array.to_list group_nodes))
        ~regions
@@ -1225,6 +1240,7 @@ let run_failover ?victim e ~crash_at_us ~recover_at_us ~bucket_us =
   let horizon = e.e_warmup_us + e.e_measure_us in
   let n_buckets = (horizon / bucket_us) + 1 in
   let buckets = Array.make n_buckets 0 in
+  let sampled = with_sampler e.e_workload in
   List.iter
     (fun i ->
       let client =
@@ -1233,22 +1249,19 @@ let run_failover ?victim e ~crash_at_us ~recover_at_us ~bucket_us =
       in
       let crng = Sim.Rng.split rng in
       let pick =
-        match e.e_workload with
-        | Retwis conf ->
-          let zipf = Workload.Retwis.sampler conf in
+        match sampled with
+        | S_retwis zipf ->
           fun rng ->
             let kind = Workload.Retwis.pick_kind rng in
             fun client rng done_ -> Morty_retwis.run client rng zipf kind done_
-        | Tpcc conf ->
+        | S_tpcc conf ->
           let home_w = tpcc_home conf i in
           fun rng ->
             let kind = Workload.Tpcc.pick_kind rng in
             fun client rng done_ -> Morty_tpcc.run conf client rng ~home_w kind done_
-        | Ycsb conf ->
-          let zipf = Workload.Ycsb.sampler conf in
+        | S_ycsb (conf, zipf) ->
           fun _rng client rng done_ -> Morty_ycsb.run conf client rng zipf done_
-        | Smallbank conf ->
-          let zipf = Workload.Smallbank.sampler conf in
+        | S_smallbank (conf, zipf) ->
           fun rng ->
             let kind = Workload.Smallbank.pick_kind rng in
             fun client rng done_ -> Morty_smallbank.run conf client rng zipf kind done_

@@ -204,6 +204,8 @@ let ledger_metrics r =
       ("gc_major_mwords", g.Obs.Engstat.gc_major_words /. 1e6);
       ("minor_gcs", f g.Obs.Engstat.gc_minor_collections);
       ("major_gcs", f g.Obs.Engstat.gc_major_collections);
+      ("setup_s", f es.Obs.Engstat.es_host.Obs.Engstat.ho_setup_ns /. 1e9);
+      ("sim_s", f es.Obs.Engstat.es_host.Obs.Engstat.ho_sim_ns /. 1e9);
     ]
   in
   (det, host)

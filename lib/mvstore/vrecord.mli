@@ -12,7 +12,19 @@
 
     All mutation happens from a replica's message handlers, which the
     simulator runs atomically — the multi-threaded locking of the real
-    implementation is implicit. *)
+    implementation is implicit.
+
+    {b Cold records.}  Most keys of a large keyspace are loaded and then
+    never touched, so a record holds its uncommitted and committed
+    writes as two immutable maps and each of its four conflict tables
+    (uncommitted, prepared and committed reads, prepared writes) as an
+    option, created by the first insertion into that table
+    ({!add_read}, {!prepare_read}, {!prepare_write}, {!commit_read}).
+    Reading and removing operations never create a table.  A cold
+    record — one made by {!of_committed} and since only read — is
+    therefore the record itself plus a one-binding map.  Laziness is
+    unobservable: every function returns what it would with eagerly
+    created tables, in the same order. *)
 
 module Version = Cc_types.Version
 
@@ -28,6 +40,12 @@ type read = {
 type t
 
 val create : unit -> t
+(** An empty record. *)
+
+val of_committed : ver:Version.t -> string -> t
+(** A cold record holding one committed write — the record
+    {!Vstore.load} installs for each initial key.  Equivalent to
+    {!create} followed by {!commit_write}. *)
 
 (** {1 Reading} *)
 

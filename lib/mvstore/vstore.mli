@@ -13,7 +13,9 @@ val find_existing : t -> string -> Vrecord.t option
 
 val load : t -> (string * string) list -> unit
 (** Install initial data as committed writes at {!Cc_types.Version.zero}
-    — the effect of the initialisation transaction [T_init]. *)
+    — the effect of the initialisation transaction [T_init].  Each key
+    gets a cold {!Vrecord.of_committed} record, replacing any record it
+    had; when a key repeats in the list, its last value wins. *)
 
 val iter : t -> (string -> Vrecord.t -> unit) -> unit
 

@@ -12,7 +12,7 @@
      utilization) depends on the machine and the OS scheduler, so it is
      only ever tolerance-checked (bench-pr8) or reported on stderr.
 
-   Capturing a record costs two [Gc.quick_stat] calls and two clock
+   Capturing a record costs two [Gc.quick_stat] calls and three clock
    reads per run — nothing on the simulation hot path. *)
 
 type heap = {
@@ -62,6 +62,8 @@ type domain_load = {
 
 type host = {
   ho_wall_ns : int;
+  ho_setup_ns : int;
+  ho_sim_ns : int;
   ho_gc : gc;
   ho_domains : domain_load list;
   ho_merge_high_water : int;
@@ -92,14 +94,28 @@ let zero ~label =
         de_heap = zero_heap;
       };
     es_host =
-      { ho_wall_ns = 0; ho_gc = zero_gc; ho_domains = []; ho_merge_high_water = 0 };
+      {
+        ho_wall_ns = 0;
+        ho_setup_ns = 0;
+        ho_sim_ns = 0;
+        ho_gc = zero_gc;
+        ho_domains = [];
+        ho_merge_high_water = 0;
+      };
   }
 
 (* --- Capture ----------------------------------------------------------- *)
 
-type probe = { pr_ns : int; pr_gc : Gc.stat }
+type probe = {
+  pr_ns : int;
+  pr_gc : Gc.stat;
+  mutable pr_setup_ns : int;  (* wall ns at the setup mark; 0 if unmarked *)
+}
 
-let start () = { pr_ns = Mclock.now_ns (); pr_gc = Gc.quick_stat () }
+let start () =
+  { pr_ns = Mclock.now_ns (); pr_gc = Gc.quick_stat (); pr_setup_ns = 0 }
+
+let mark_setup probe = probe.pr_setup_ns <- Mclock.elapsed_ns probe.pr_ns
 
 let finish probe ~label ~timers ~deliveries ~tickers ~heap =
   let wall_ns = Mclock.elapsed_ns probe.pr_ns in
@@ -119,6 +135,8 @@ let finish probe ~label ~timers ~deliveries ~tickers ~heap =
     es_host =
       {
         ho_wall_ns = wall_ns;
+        ho_setup_ns = probe.pr_setup_ns;
+        ho_sim_ns = wall_ns - probe.pr_setup_ns;
         ho_gc =
           {
             gc_minor_words = g.Gc.minor_words -. g0.Gc.minor_words;
@@ -166,6 +184,8 @@ let add a b =
     es_host =
       {
         ho_wall_ns = a.es_host.ho_wall_ns + b.es_host.ho_wall_ns;
+        ho_setup_ns = a.es_host.ho_setup_ns + b.es_host.ho_setup_ns;
+        ho_sim_ns = a.es_host.ho_sim_ns + b.es_host.ho_sim_ns;
         ho_gc =
           {
             gc_minor_words =
@@ -244,9 +264,12 @@ let host_line t =
   let g = t.es_host.ho_gc in
   let base =
     Printf.sprintf
-      "engine-host: wall_s=%.3f events_per_s=%.3g gc_minor_mwords=%.2f \
-       gc_major_mwords=%.2f minor_gcs=%d major_gcs=%d top_heap_mb=%.1f"
+      "engine-host: wall_s=%.3f setup_s=%.3f sim_s=%.3f events_per_s=%.3g \
+       gc_minor_mwords=%.2f gc_major_mwords=%.2f minor_gcs=%d major_gcs=%d \
+       top_heap_mb=%.1f"
       (Mclock.ns_to_s t.es_host.ho_wall_ns)
+      (Mclock.ns_to_s t.es_host.ho_setup_ns)
+      (Mclock.ns_to_s t.es_host.ho_sim_ns)
       (events_per_s t) (g.gc_minor_words /. 1e6) (g.gc_major_words /. 1e6)
       g.gc_minor_collections g.gc_major_collections
       (float_of_int g.gc_top_heap_words *. 8. /. 1e6)
@@ -293,6 +316,10 @@ let to_json t =
       Json.obj buf (fun () ->
           Json.fld buf true "wall_ns";
           Json.int buf t.es_host.ho_wall_ns;
+          Json.fld buf false "setup_ns";
+          Json.int buf t.es_host.ho_setup_ns;
+          Json.fld buf false "sim_ns";
+          Json.int buf t.es_host.ho_sim_ns;
           Json.fld buf false "events_per_s";
           Json.float buf (events_per_s t);
           Json.fld buf false "gc";

@@ -60,6 +60,11 @@ type host = {
   ho_wall_ns : int;
       (** summed per-run wall ns (serial: total wall; parallel sweeps:
           aggregate CPU-seconds-like figure) *)
+  ho_setup_ns : int;
+      (** the part of [ho_wall_ns] before the setup mark ({!mark_setup}):
+          cluster build, initial-data load, client and sampler
+          construction; 0 when the run was never marked *)
+  ho_sim_ns : int;  (** the rest of [ho_wall_ns]: the simulation itself *)
   ho_gc : gc;
   ho_domains : domain_load list;  (** empty for serial runs *)
   ho_merge_high_water : int;
@@ -76,6 +81,11 @@ type probe
 (** Wall-clock + GC snapshot taken before a run. *)
 
 val start : unit -> probe
+
+val mark_setup : probe -> unit
+(** Close the run's setup phase: wall time from {!start} to here is
+    reported as [ho_setup_ns], the rest as [ho_sim_ns].  Runners call it
+    immediately before [Sim.Engine.run_until]. *)
 
 val finish :
   probe ->

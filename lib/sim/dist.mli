@@ -5,12 +5,19 @@
     [\[0, n)] with probability proportional to [1 / (rank+1)^theta]. *)
 
 type zipf
-(** Precomputed Zipfian sampler over [n] items. *)
+(** Precomputed Zipfian sampler over [n] items.  Immutable: all of a
+    draw's randomness comes from the {!Rng.t} passed to {!zipf_sample},
+    so any number of clients can share one sampler and each draws
+    exactly what it would from a sampler of its own. *)
 
 val zipf : n:int -> theta:float -> zipf
-(** [zipf ~n ~theta] precomputes a sampler.  [theta = 0.] degenerates to
-    the uniform distribution.  Raises [Invalid_argument] if [n <= 0] or
-    [theta < 0.]. *)
+(** [zipf ~n ~theta] precomputes a sampler: an n-entry cumulative
+    distribution, O(n) time ([n] calls to [Float.pow]) and O(n) memory.
+    Build one per run and share it across that run's clients; a
+    process-wide cache would instead be state shared across the
+    domains of a parallel sweep.
+    [theta = 0.] degenerates to the uniform distribution.  Raises
+    [Invalid_argument] if [n <= 0] or [theta < 0.]. *)
 
 val zipf_sample : zipf -> Rng.t -> int
 (** Draw an item index in [\[0, n)]; index 0 is the hottest item. *)

@@ -158,6 +158,23 @@ let test_run_to_run_deterministic () =
     && d.Obs.Engstat.de_heap.Obs.Engstat.hp_pushes
        >= d.Obs.Engstat.de_events)
 
+(* Every runner marks the end of setup just before the simulation
+   starts, so each run's wall time splits into two positive parts. *)
+let test_setup_sim_split () =
+  List.iter
+    (fun sys ->
+      let r =
+        Harness.Run.run_exp
+          { (small_exp "split") with Harness.Run.e_system = sys }
+      in
+      let h = r.Harness.Stats.r_engstat.Obs.Engstat.es_host in
+      let name = Harness.Run.system_name sys in
+      Alcotest.(check bool) (name ^ " setup > 0") true (h.Obs.Engstat.ho_setup_ns > 0);
+      Alcotest.(check bool) (name ^ " sim > 0") true (h.Obs.Engstat.ho_sim_ns > 0);
+      Alcotest.(check int) (name ^ " setup + sim = wall") h.Obs.Engstat.ho_wall_ns
+        (h.Obs.Engstat.ho_setup_ns + h.Obs.Engstat.ho_sim_ns))
+    Harness.Run.all_systems
+
 (* The deterministic section of a sweep's aggregated record is
    byte-identical between the serial loop and a 4-way parallel sweep;
    only the parallel leg attaches pool utilization. *)
@@ -277,6 +294,7 @@ let suites =
         Alcotest.test_case "add/sum semantics" `Quick test_add_semantics;
         Alcotest.test_case "run-to-run deterministic" `Quick
           test_run_to_run_deterministic;
+        Alcotest.test_case "setup/sim split" `Quick test_setup_sim_split;
         Alcotest.test_case "det section invariant under --jobs" `Quick
           test_det_section_jobs_invariant;
         Alcotest.test_case "json deterministic object stable" `Quick

@@ -162,6 +162,49 @@ let test_vrecord_abort_cleanup () =
   let r = Vrecord.latest_before vr (v 10) in
   Alcotest.(check string) "aborted write invisible" "" r.r_val
 
+(* A store holds one record per key per replica, and most keys of a
+   large keyspace are loaded and then only read.  Such a cold record
+   must stay its committed binding alone — no conflict tables — and no
+   read-only or remove-only call may grow it.  Allocation is
+   deterministic, so the size is the same on every host: the record
+   (7 words), one map node (6), [Version.zero] (3) and the value (2). *)
+let test_vrecord_cold_record () =
+  let vr = Vrecord.of_committed ~ver:Version.zero "v" in
+  let words () = Obj.reachable_words (Obj.repr vr) in
+  let cold = words () in
+  Alcotest.(check int) "cold record words" 18 cold;
+  let via_commit = Vrecord.create () in
+  Vrecord.commit_write via_commit ~ver:Version.zero "v";
+  Alcotest.(check int) "create + commit_write is as small" cold
+    (Obj.reachable_words (Obj.repr via_commit));
+  let keeps name f =
+    ignore (Sys.opaque_identity (f ()));
+    Alcotest.(check int) name cold (words ())
+  in
+  keeps "latest_before" (fun () -> Vrecord.latest_before vr (v 10));
+  keeps "latest_committed_before" (fun () ->
+      Vrecord.latest_committed_before vr (v 10));
+  keeps "find_read" (fun () -> Vrecord.find_read vr (v 10));
+  keeps "write_missed_by_read" (fun () ->
+      Vrecord.write_missed_by_read vr ~reader:(v 10) ~r_ver:Version.zero);
+  keeps "committed_read_missing_write" (fun () ->
+      Vrecord.committed_read_missing_write vr ~w_ver:(v 5));
+  keeps "prepared_read_missing_write" (fun () ->
+      Vrecord.prepared_read_missing_write vr ~w_ver:(v 5));
+  keeps "reads_missing_version" (fun () ->
+      Vrecord.reads_missing_version vr ~ver:(v 5) "x");
+  keeps "reads_observing" (fun () -> Vrecord.reads_observing vr Version.zero);
+  keeps "unprepare" (fun () -> Vrecord.unprepare vr ~ver:(v 5) ~eid:0);
+  keeps "unprepare_all" (fun () -> Vrecord.unprepare_all vr ~ver:(v 5));
+  keeps "remove_read" (fun () -> Vrecord.remove_read vr (v 10));
+  keeps "abort_writes" (fun () -> Vrecord.abort_writes vr ~ver:(v 5));
+  keeps "gc_below" (fun () -> Vrecord.gc_below vr (v 10));
+  keeps "committed_reads_list" (fun () -> Vrecord.committed_reads_list vr);
+  (* The first inserting call creates the conflict tables. *)
+  Vrecord.add_read vr ~reader:(v 10) ~coord:0
+    (Vrecord.latest_before vr (v 10));
+  Alcotest.(check bool) "add_read grows the record" true (words () > cold)
+
 (* ---- Ablation configurations still preserve correctness ---- *)
 
 type cluster = {
@@ -280,6 +323,7 @@ let suites =
         Alcotest.test_case "check 2" `Quick test_vrecord_check2;
         Alcotest.test_case "gc" `Quick test_vrecord_gc;
         Alcotest.test_case "abort cleanup" `Quick test_vrecord_abort_cleanup;
+        Alcotest.test_case "cold record" `Quick test_vrecord_cold_record;
       ] );
     ( "morty.ablation",
       [

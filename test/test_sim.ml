@@ -98,6 +98,29 @@ let test_zipf_sample_matches_pmf () =
       Alcotest.failf "item %d: got %f expected %f" i got expected
   done
 
+(* The runners build one sampler per run and share it across clients.
+   That is only sound if the sampler holds no draw state: k clients
+   drawing in turn through one sampler must each get exactly the
+   sequence a sampler of their own gives them. *)
+let test_zipf_shared_sampler () =
+  let k = 8 and draws = 500 in
+  let make () = Dist.zipf ~n:1000 ~theta:0.9 in
+  let rngs () = Array.init k (fun i -> Rng.create (100 + i)) in
+  let shared = make () and a = rngs () in
+  let via_shared = Array.make k [] in
+  for _ = 1 to draws do
+    Array.iteri
+      (fun i r -> via_shared.(i) <- Dist.zipf_sample shared r :: via_shared.(i))
+      a
+  done;
+  Array.iteri
+    (fun i r ->
+      let own = make () in
+      let via_own = List.init draws (fun _ -> Dist.zipf_sample own r) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "client %d" i) via_own (List.rev via_shared.(i)))
+    (rngs ())
+
 let test_zipf_invalid_args () =
   Alcotest.check_raises "n=0" (Invalid_argument "Dist.zipf: n must be positive")
     (fun () -> ignore (Dist.zipf ~n:0 ~theta:0.9));
@@ -360,6 +383,7 @@ let suites =
         Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
         Alcotest.test_case "zipf sample range" `Quick test_zipf_sample_range;
         Alcotest.test_case "zipf sample matches pmf" `Slow test_zipf_sample_matches_pmf;
+        Alcotest.test_case "zipf shared sampler" `Quick test_zipf_shared_sampler;
         Alcotest.test_case "zipf invalid args" `Quick test_zipf_invalid_args;
         QCheck_alcotest.to_alcotest qcheck_zipf_pmf_sums_to_one;
       ] );
