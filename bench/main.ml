@@ -643,28 +643,19 @@ let deprecated old target =
 (*                                                                     *)
 (* The observatory counters cannot be compiled out, so the overhead is *)
 (* measured against a control that is structurally identical to        *)
-(* Sim.Engine — same event record shape (state machine, owner          *)
-(* back-pointer), same kind counters and observer check — with ONLY    *)
-(* the observatory increments removed (live/max_live on schedule,      *)
-(* pops/live on fire, ghost_drains on drain).  Allocation and GC       *)
-(* behaviour are therefore the same in both loops, and the delta is    *)
-(* exactly what the counter increments cost.                           *)
+(* Sim.Engine's handle-free path — the same Sim.Heap of actions keyed  *)
+(* by [seq lsl 2 lor kind], the same kind counters and observer check  *)
+(* — with ONLY the observatory increments removed (live/max_live on    *)
+(* post, pops/live on fire).  Allocation and GC behaviour are          *)
+(* therefore the same in both loops, and the delta is exactly what the *)
+(* counter increments cost.                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Bare_engine = struct
   type kind = Timer | Delivery | Ticker [@@warning "-37"]
-  type state = Live | Cancelled | Fired [@@warning "-37"]
 
-  type event = {
-    mutable state : state;
-    kind : kind;
-    action : unit -> unit;
-    owner : t;  (* same shape as Sim.Engine.event; never read here *)
-  }
-  [@@warning "-69"]
-
-  and t = {
-    q : event Sim.Heap.t;
+  type t = {
+    q : (unit -> unit) Sim.Heap.t;
     mutable clock : int;
     mutable seq : int;
     mutable fired : int;
@@ -676,7 +667,7 @@ module Bare_engine = struct
 
   let create () =
     {
-      q = Sim.Heap.create ();
+      q = Sim.Heap.create ~dummy:ignore;
       clock = 0;
       seq = 0;
       fired = 0;
@@ -686,32 +677,30 @@ module Bare_engine = struct
       observer = None;
     }
 
-  let schedule t ~after f =
-    let e = { state = Live; kind = Timer; action = f; owner = t } in
-    Sim.Heap.push t.q ~time:(t.clock + max 0 after) ~seq:t.seq e;
-    t.seq <- t.seq + 1;
-    e
+  let post t ~after f =
+    Sim.Heap.push t.q ~time:(t.clock + max 0 after) ~key:(t.seq lsl 2) f;
+    t.seq <- t.seq + 1
+
+  let fire t kind f =
+    t.fired <- t.fired + 1;
+    (match kind with
+    | Timer -> t.fired_timer <- t.fired_timer + 1
+    | Delivery -> t.fired_delivery <- t.fired_delivery + 1
+    | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
+    (match t.observer with Some obs -> obs ~ts:t.clock kind | None -> ());
+    f ()
 
   let run t =
-    let rec go () =
-      match Sim.Heap.pop t.q with
-      | None -> ()
-      | Some (time, _seq, e) ->
-        t.clock <- max t.clock time;
-        (match e.state with
-        | Live ->
-          e.state <- Fired;
-          t.fired <- t.fired + 1;
-          (match e.kind with
-          | Timer -> t.fired_timer <- t.fired_timer + 1
-          | Delivery -> t.fired_delivery <- t.fired_delivery + 1
-          | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
-          (match t.observer with Some f -> f ~ts:t.clock e.kind | None -> ());
-          e.action ()
-        | Cancelled | Fired -> ());
-        go ()
-    in
-    go ()
+    while not (Sim.Heap.is_empty t.q) do
+      let time = Sim.Heap.min_time t.q in
+      let code = Sim.Heap.min_key t.q land 3 in
+      let f = Sim.Heap.pop_min t.q in
+      if time > t.clock then t.clock <- time;
+      match code with
+      | 0 -> fire t Timer f
+      | 1 -> fire t Delivery f
+      | _ -> fire t Ticker f
+    done
 end
 
 let ols_estimate test =
@@ -729,7 +718,7 @@ let ols_estimate test =
       match Analyze.OLS.estimates v with Some [ est ] -> Some est | _ -> acc)
     ols None
 
-(* The loops allocate one event record per scheduled event, so a single
+(* The loops allocate one closure per posted event, so a single
    estimate is dominated by whatever GC state it happens to run in.
    Alternate the two tests, compact before each estimate, and keep the
    per-test minimum: the best-case run is the one with the least GC
@@ -746,7 +735,7 @@ let min_estimate ~rounds test =
   if Float.is_finite !best then Some !best else None
 
 let engine_overhead () =
-  section "Engine observatory counter overhead (schedule+fire x1000)";
+  section "Engine observatory counter overhead (post+fire x1000)";
   let open Bechamel in
   let n = 1000 in
   let bare =
@@ -754,7 +743,7 @@ let engine_overhead () =
       (Staged.stage (fun () ->
            let e = Bare_engine.create () in
            for i = 1 to n do
-             ignore (Bare_engine.schedule e ~after:i (fun () -> ()))
+             Bare_engine.post e ~after:i (fun () -> ())
            done;
            Bare_engine.run e))
   in
@@ -763,7 +752,7 @@ let engine_overhead () =
       (Staged.stage (fun () ->
            let e = Sim.Engine.create () in
            for i = 1 to n do
-             ignore (Sim.Engine.schedule e ~after:i (fun () -> ()))
+             Sim.Engine.post e ~after:i (fun () -> ())
            done;
            Sim.Engine.run e))
   in
@@ -785,14 +774,13 @@ let micro () =
   let test_heap =
     Test.make ~name:"event-heap push+pop x100"
       (Staged.stage (fun () ->
-           let h = Sim.Heap.create () in
+           let h = Sim.Heap.create ~dummy:() in
            for i = 0 to 99 do
-             Sim.Heap.push h ~time:(i * 7919 mod 1000) ~seq:i ()
+             Sim.Heap.push h ~time:(i * 7919 mod 1000) ~key:i ()
            done;
-           let rec drain () =
-             match Sim.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
+           while not (Sim.Heap.is_empty h) do
+             Sim.Heap.pop_min h
+           done))
   in
   let zipf = Sim.Dist.zipf ~n:100_000 ~theta:0.9 in
   let zrng = Sim.Rng.create 17 in
@@ -820,11 +808,11 @@ let micro () =
              (Mvstore.Vrecord.latest_before vr (Cc_types.Version.make ~ts:40 ~id:0))))
   in
   let test_engine =
-    Test.make ~name:"engine schedule+run x100"
+    Test.make ~name:"engine post+run x100"
       (Staged.stage (fun () ->
            let e = Sim.Engine.create () in
            for i = 1 to 100 do
-             ignore (Sim.Engine.schedule e ~after:i (fun () -> ()))
+             Sim.Engine.post e ~after:i (fun () -> ())
            done;
            Sim.Engine.run e))
   in

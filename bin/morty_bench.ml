@@ -242,27 +242,23 @@ let run system setup workload theta keys warehouses read_pct clients cores
           (match kill_at_ms with
           | None -> ()
           | Some kill_ms ->
-            ignore
-              (Sim.Engine.schedule_at ops.co_engine ~at:(kill_ms * 1000)
-                 (fun () -> ops.co_kill victim));
+            Sim.Engine.post_at ops.co_engine ~at:(kill_ms * 1000)
+              (fun () -> ops.co_kill victim);
             (match restart_at_ms with
             | None -> ()
             | Some restart_ms ->
-              ignore
-                (Sim.Engine.schedule_at ops.co_engine ~at:(restart_ms * 1000)
-                   (fun () -> ops.co_restart victim))));
+              Sim.Engine.post_at ops.co_engine ~at:(restart_ms * 1000)
+                (fun () -> ops.co_restart victim)));
           match partition_at_ms with
           | None -> ()
           | Some part_ms ->
-            ignore
-              (Sim.Engine.schedule_at ops.co_engine ~at:(part_ms * 1000)
-                 (fun () -> ops.co_partition partition_group));
+            Sim.Engine.post_at ops.co_engine ~at:(part_ms * 1000)
+              (fun () -> ops.co_partition partition_group);
             (match heal_at_ms with
             | None -> ()
             | Some heal_ms ->
-              ignore
-                (Sim.Engine.schedule_at ops.co_engine ~at:(heal_ms * 1000)
-                   (fun () -> ops.co_heal partition_group))))
+              Sim.Engine.post_at ops.co_engine ~at:(heal_ms * 1000)
+                (fun () -> ops.co_heal partition_group)))
   in
   let write path s =
     let oc = open_out path in

@@ -114,7 +114,7 @@ let fire (ops : Harness.Run.cluster_ops) = function
 let apply t (ops : Harness.Run.cluster_ops) =
   List.iter
     (fun { at_us; ev } ->
-      ignore (Sim.Engine.schedule_at ops.co_engine ~at:at_us (fun () -> fire ops ev)))
+      Sim.Engine.post_at ops.co_engine ~at:at_us (fun () -> fire ops ev))
     t
 
 let pp_event ppf = function

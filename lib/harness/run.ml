@@ -184,13 +184,11 @@ let install_metrics ~engine ~obs ~horizon ~sample =
       last := Engine.now engine;
       sample ~now:(Engine.now engine);
       if Engine.now engine + metrics_interval_us <= horizon then
-        ignore
-          (Engine.schedule engine ~kind:Engine.Ticker
-             ~after:metrics_interval_us tick)
+        Engine.post engine ~kind:Engine.Ticker
+          ~after:metrics_interval_us tick
     in
-    ignore
-      (Engine.schedule engine ~kind:Engine.Ticker ~after:metrics_interval_us
-         tick);
+    Engine.post engine ~kind:Engine.Ticker ~after:metrics_interval_us
+      tick;
     fun () -> if !last <> horizon then sample ~now:horizon
   end
   else fun () -> ()
@@ -317,9 +315,8 @@ module Driver (C : Cc_types.Kv_api.S) = struct
               if profiling then acc.(backoff_cell) <- acc.(backoff_cell) + wait;
               if in_window then
                 Stats.record_phase stats Stats.P_backoff ~dur_us:wait;
-              ignore
-                (Engine.schedule engine ~after:wait (fun () ->
-                     attempt run txn_start (n + 1)))
+              Engine.post engine ~after:wait (fun () ->
+                  attempt run txn_start (n + 1))
             end)
     in
     next ()
@@ -587,10 +584,9 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
         client)
   in
   let msgs_at_warm = ref 0 in
-  ignore
-    (Engine.schedule engine ~after:warm_start (fun () ->
-         msgs_at_warm := Simnet.Net.messages_delivered net;
-         Array.iter (fun r -> Simnet.Cpu.reset_stats (Morty.Replica.cpu r)) replicas));
+  Engine.post engine ~after:warm_start (fun () ->
+      msgs_at_warm := Simnet.Net.messages_delivered net;
+      Array.iter (fun r -> Simnet.Cpu.reset_stats (Morty.Replica.cpu r)) replicas);
   let prev_busy = Array.make (Array.length replicas) 0 in
   let finish_metrics =
     install_metrics ~engine ~obs ~horizon:warm_end ~sample:(fun ~now ->
@@ -796,10 +792,9 @@ let run_tapir ?(no_dist = false) ?on_txn ?faults ?(obs = Obs.Sink.null ())
            Array.to_list (Array.map Tapir.Replica.cpu group))
   in
   let msgs_at_warm = ref 0 in
-  ignore
-    (Engine.schedule engine ~after:warm_start (fun () ->
-         msgs_at_warm := Simnet.Net.messages_delivered net;
-         List.iter Simnet.Cpu.reset_stats (all_cpus ())));
+  Engine.post engine ~after:warm_start (fun () ->
+      msgs_at_warm := Simnet.Net.messages_delivered net;
+      List.iter Simnet.Cpu.reset_stats (all_cpus ()));
   let prev_busy = Array.make (n_groups * Tapir.Config.n_replicas cfg) 0 in
   let finish_metrics =
     install_metrics ~engine ~obs ~horizon:warm_end ~sample:(fun ~now ->
@@ -1044,10 +1039,9 @@ let run_spanner ?on_txn ?faults ?(obs = Obs.Sink.null ())
            Array.to_list (Array.map Spanner.Replica.cpu group))
   in
   let msgs_at_warm = ref 0 in
-  ignore
-    (Engine.schedule engine ~after:warm_start (fun () ->
-         msgs_at_warm := Simnet.Net.messages_delivered net;
-         List.iter Simnet.Cpu.reset_stats (all_cpus ())));
+  Engine.post engine ~after:warm_start (fun () ->
+      msgs_at_warm := Simnet.Net.messages_delivered net;
+      List.iter Simnet.Cpu.reset_stats (all_cpus ()));
   let prev_busy = Array.make (n_groups * Spanner.Config.n_replicas cfg) 0 in
   let finish_metrics =
     install_metrics ~engine ~obs ~horizon:warm_end ~sample:(fun ~now ->
@@ -1285,9 +1279,8 @@ let run_failover ?victim e ~crash_at_us ~recover_at_us ~bucket_us =
                   Sim.Backoff.full_jitter crng ~base_us:e.e_backoff_base_us
                     ~cap_us:backoff_cap_us ~attempt:n
                 in
-                ignore
-                  (Engine.schedule engine ~after:wait (fun () ->
-                       attempt run (n + 1))))
+                Engine.post engine ~after:wait (fun () ->
+                    attempt run (n + 1)))
       in
       next ())
     (List.init e.e_clients (fun i -> i));
@@ -1299,7 +1292,7 @@ let run_failover ?victim e ~crash_at_us ~recover_at_us ~bucket_us =
   let victim =
     match victim with Some v -> v | None -> Array.length replicas - 1
   in
-  ignore (Engine.schedule engine ~after:crash_at_us (fun () -> ops.co_crash victim));
-  ignore (Engine.schedule engine ~after:recover_at_us (fun () -> ops.co_recover victim));
+  Engine.post engine ~after:crash_at_us (fun () -> ops.co_crash victim);
+  Engine.post engine ~after:recover_at_us (fun () -> ops.co_recover victim);
   Engine.run_until engine ~limit:horizon;
   Array.to_list (Array.mapi (fun i c -> (i * bucket_us, c)) buckets)

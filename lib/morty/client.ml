@@ -135,7 +135,9 @@ type t = {
   lin : Obs.Lineage.t;
   (* Critical-path attribution: the transaction the closed-loop driver
      is currently running (one at a time per client), its component
-     cells, and the end of the last attributed wait interval. *)
+     cells, and the end of the last attributed wait interval.  Kept
+     only while the profiler is enabled ([c_cur] stays [None]
+     otherwise). *)
   mutable c_cur : txn option;
   mutable c_comps : int array;
   mutable c_last_ev : int;
@@ -477,13 +479,12 @@ and start_finalize t txn eid decision =
   txn.phase <- Finalizing f;
   broadcast t (Msg.Finalize { ver = txn.ver; eid; view = 0; decision });
   let rec retry () =
-    ignore
-      (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           match txn.phase with
-           | Finalizing f' when f' == f && not f.f_fired && not txn.finished ->
-             broadcast t (Msg.Finalize { ver = txn.ver; eid; view = 0; decision });
-             retry ()
-           | Finalizing _ | Executing | Preparing _ | Done -> ()))
+    Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+        match txn.phase with
+        | Finalizing f' when f' == f && not f.f_fired && not txn.finished ->
+          broadcast t (Msg.Finalize { ver = txn.ver; eid; view = 0; decision });
+          retry ()
+        | Finalizing _ | Executing | Preparing _ | Done -> ())
   in
   retry ()
 
@@ -729,9 +730,11 @@ let ro_mk_txn t ~ver ~ro =
     }
   in
   Hashtbl.replace t.txns ver txn;
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- now;
+  if Obs.Profile.enabled t.prof then begin
+    t.c_cur <- Some txn;
+    t.c_comps <- Array.make Obs.Profile.n_cells 0;
+    t.c_last_ev <- now
+  end;
   if Obs.Sink.enabled t.obs then mark t txn "begin" [];
   Obs.Lineage.note_begin t.lin ~ver:(vpair ver) ~ts:now;
   txn
@@ -752,10 +755,9 @@ let rec ro_try_pin t st =
     let dst = t.replicas.((t.closest_ix + st.rs_attempt) mod n) in
     send t dst (Msg.Ro_pin { ro_id = st.rs_id });
     let at = st.rs_attempt in
-    ignore
-      (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           if (not st.rs_done) && st.rs_txn = None && st.rs_attempt = at then
-             ro_advance t st))
+    Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+        if (not st.rs_done) && st.rs_txn = None && st.rs_attempt = at then
+          ro_advance t st)
   end
 
 and ro_advance t st =
@@ -763,7 +765,7 @@ and ro_advance t st =
   if st.rs_attempt >= ro_attempt_cap t then ro_exhausted t st
   else begin
     let wait = ro_backoff t st.rs_attempt in
-    ignore (Engine.schedule t.engine ~after:wait (fun () -> ro_try_pin t st))
+    Engine.post t.engine ~after:wait (fun () -> ro_try_pin t st)
   end
 
 (* Graceful degradation's floor: no reachable replica could serve within
@@ -923,9 +925,14 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Sink.null ())
       on_finish;
     }
   in
-  Net.set_handler net node (fun ~src msg ->
-      profile_arrival t;
-      handle t ~src msg);
+  Net.set_handler net node
+    (if Obs.Profile.enabled prof then begin
+       Net.track_provenance net;
+       fun ~src msg ->
+         profile_arrival t;
+         handle t ~src msg
+     end
+     else handle t);
   t
 
 let begin_ t body =
@@ -956,9 +963,11 @@ let begin_ t body =
   in
   Hashtbl.replace t.txns ver txn;
   t.stats.begun <- t.stats.begun + 1;
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- now;
+  if Obs.Profile.enabled t.prof then begin
+    t.c_cur <- Some txn;
+    t.c_comps <- Array.make Obs.Profile.n_cells 0;
+    t.c_last_ev <- now
+  end;
   if Obs.Sink.enabled t.obs then mark t txn "begin" [];
   Obs.Lineage.note_begin t.lin ~ver:(vpair ver) ~ts:now;
   body { c_txn = txn; c_eid = 0 }
@@ -995,10 +1004,9 @@ let ro_get t ctx key cont =
       (* If the pinned replica goes silent (crash, partition), re-pin
          the whole transaction elsewhere rather than retrying here: any
          other replica's snapshot differs, so partial reads are void. *)
-      ignore
-        (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-             if (not txn.finished) && slot.s_reply = None then
-               ro_unreachable t p.rp_id txn)))
+      Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+          if (not txn.finished) && slot.s_reply = None then
+            ro_unreachable t p.rp_id txn))
   | Some (Ro_doomed _) | None -> cont ctx ""
 
 let get t ctx key cont =
@@ -1042,17 +1050,16 @@ let get t ctx key cont =
         (* Reads normally go only to the closest replica; if it is
            unreachable (crash, partition), retry on the others. *)
         let rec retry attempt =
-          ignore
-            (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-                 if
-                   (not txn.finished) && slot.s_reply = None
-                   && List.memq slot txn.slots
-                 then begin
-                   let dst = t.replicas.(attempt mod Array.length t.replicas) in
-                   send t dst
-                     (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
-                   retry (attempt + 1)
-                 end))
+          Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+              if
+                (not txn.finished) && slot.s_reply = None
+                && List.memq slot txn.slots
+              then begin
+                let dst = t.replicas.(attempt mod Array.length t.replicas) in
+                send t dst
+                  (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
+                retry (attempt + 1)
+              end)
         in
         retry 0)
   end

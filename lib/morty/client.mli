@@ -81,7 +81,8 @@ val stats : t -> stats
 val last_comps : t -> int array
 (** Latency-component cells accumulated for the transaction currently
     (or most recently) driven by this client; see {!Obs.Profile}.  The
-    closed-loop driver snapshots this per attempt. *)
+    closed-loop driver snapshots this per attempt.  Only maintained
+    when the client was created with an enabled profiler. *)
 
 (** {1 The CPS transactional API} *)
 

@@ -507,10 +507,9 @@ let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
                 process_prepare t ~src ver eid read_set write_set)
               :: !thunks;
             (* If the dependency's coordinator died, recover it. *)
-            ignore
-              (Engine.schedule t.engine ~after:t.cfg.dep_recovery_timeout_us (fun () ->
-                   if not (Hashtbl.mem t.decision_log dep_ver) then
-                     start_recovery t dep_ver))
+            Engine.post t.engine ~after:t.cfg.dep_recovery_timeout_us (fun () ->
+                if not (Hashtbl.mem t.decision_log dep_ver) then
+                  start_recovery t dep_ver)
             end))
 
 (* --- Decide ----------------------------------------------------------- *)
@@ -701,9 +700,8 @@ and handle_paxos_prepare_reply t ~src (msg : Msg.t) =
         rec_st.r_done <- true;
         Hashtbl.remove t.recovering r.ver;
         let delay = t.cfg.dep_recovery_timeout_us + Sim.Rng.int t.rng 100_000 in
-        ignore
-          (Engine.schedule t.engine ~after:delay (fun () ->
-               if not (Hashtbl.mem t.decision_log r.ver) then start_recovery t r.ver))
+        Engine.post t.engine ~after:delay (fun () ->
+            if not (Hashtbl.mem t.decision_log r.ver) then start_recovery t r.ver)
       end
       else begin
         rec_st.r_replies <- (src, msg) :: rec_st.r_replies;
@@ -1275,13 +1273,12 @@ let start_catchup t =
     t.mode <- Recovering cu;
     broadcast t Msg.Catchup_request;
     let rec retry () =
-      ignore
-        (Engine.schedule t.engine ~after:t.cfg.catchup_retry_us (fun () ->
-             match t.mode with
-             | Recovering cu' when cu' == cu && not t.stopped ->
-               broadcast t Msg.Catchup_request;
-               retry ()
-             | _ -> ()))
+      Engine.post t.engine ~after:t.cfg.catchup_retry_us (fun () ->
+          match t.mode with
+          | Recovering cu' when cu' == cu && not t.stopped ->
+            broadcast t Msg.Catchup_request;
+            retry ()
+          | _ -> ())
     in
     retry ()
 
@@ -1289,28 +1286,27 @@ let schedule_truncation t =
   if t.cfg.truncation_interval_us > 0 then begin
     let clock = Sim.Clock.perfect t.engine in
     let rec tick () =
-      ignore
-        (Engine.schedule t.engine ~after:t.cfg.truncation_interval_us (fun () ->
-             if t.stopped then ()
-             else begin
-               (* A recovering replica's partial snapshot must not count
-                  toward the coordinator's f+1 merge quorum. *)
-               (match t.mode with
-                | Recovering _ -> ()
-                | Normal ->
-                  let upto =
-                    Version.make
-                      ~ts:(Sim.Clock.read clock - t.cfg.truncation_interval_us)
-                      ~id:min_int
-                  in
-                  if Version.compare upto (Version.make ~ts:0 ~id:min_int) > 0
-                  then begin
-                    let entries = snapshot_below t upto in
-                    raise_fence t upto;
-                    send t t.peers.(0) (Msg.Truncate { t_upto = upto; entries })
-                  end);
-               tick ()
-             end))
+      Engine.post t.engine ~after:t.cfg.truncation_interval_us (fun () ->
+          if t.stopped then ()
+          else begin
+            (* A recovering replica's partial snapshot must not count
+               toward the coordinator's f+1 merge quorum. *)
+            (match t.mode with
+             | Recovering _ -> ()
+             | Normal ->
+               let upto =
+                 Version.make
+                   ~ts:(Sim.Clock.read clock - t.cfg.truncation_interval_us)
+                   ~id:min_int
+               in
+               if Version.compare upto (Version.make ~ts:0 ~id:min_int) > 0
+               then begin
+                 let entries = snapshot_below t upto in
+                 raise_fence t upto;
+                 send t t.peers.(0) (Msg.Truncate { t_upto = upto; entries })
+               end);
+            tick ()
+          end)
     in
     tick ()
   end
@@ -1353,26 +1349,13 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
       mode = Normal;
     }
   in
-  Net.set_handler net node (fun ~src msg ->
-      (* Provenance: capture the inbound transit here (delivery info is
-         only valid inside the net handler), then stamp replies sent by
-         the CPU job with transit + measured queueing + service so the
-         client can decompose its wait. *)
-      let transit_us =
-        match Net.current_delivery net with
-        | Some d -> d.Net.di_recv_us - d.Net.di_send_us
-        | None -> 0
-      in
-      let cost = service_cost t msg in
-      Cpu.submit t.cpu ~cost
-        ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-          let ver, eid = busy_owner msg in
-          Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver ~eid
-            ~cost_us:cost;
-          Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
-        (fun () ->
-          handle t ~src msg;
-          Net.clear_send_path net));
+  let on_service msg ~cost_us =
+    let ver, eid = busy_owner msg in
+    Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver ~eid ~cost_us
+  in
+  Net.serve net node t.cpu ~cost:(service_cost t)
+    ?on_service:(if Obs.Profile.enabled prof then Some on_service else None)
+    (handle t);
   schedule_truncation t;
   t
 

@@ -52,8 +52,8 @@ val create :
 (** Create replica [index] (of [2f+1]) and register it on the network.
     [peers] must be completed with {!set_peers} before traffic flows.
     [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
+    contention hooks; when it is enabled, replies also carry message
+    provenance ({!Simnet.Net.serve}) for the client-side decomposition.
     [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
     for the online invariant monitors; purely observational.  [lineage]
     (default {!Obs.Lineage.null}) receives typed conflict records from

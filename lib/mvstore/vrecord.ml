@@ -7,14 +7,16 @@ type read = { reader : Version.t; coord : int; mutable last : reply }
 (* Each conflict table is [None] until the first insertion into it, so
    a key that is only loaded and read at its committed versions holds
    none, and a key that is only ever written holds just
-   [prepared_writes]. *)
+   [prepared_writes].  Committed reads are a map ordered by reader
+   (empty is an immediate), so validation check 2a visits only the
+   readers above the writer. *)
 type t = {
   mutable uncommitted_writes : string Version.Map.t;
   mutable reads : (Version.t, read) Hashtbl.t option;
   mutable prepared_reads : (Version.t, int * Version.t) Hashtbl.t option;  (* reader -> eid, r_ver *)
   mutable prepared_writes : (Version.t, int) Hashtbl.t option;  (* writer -> eid *)
   mutable committed_writes : string Version.Map.t;
-  mutable committed_reads : (Version.t, Version.t) Hashtbl.t option;  (* reader -> r_ver *)
+  mutable committed_reads : Version.t Version.Map.t;  (* reader -> r_ver *)
 }
 
 let create () =
@@ -24,7 +26,7 @@ let create () =
     prepared_reads = None;
     prepared_writes = None;
     committed_writes = Version.Map.empty;
-    committed_reads = None;
+    committed_reads = Version.Map.empty;
   }
 
 let of_committed ~ver value =
@@ -56,7 +58,6 @@ let created t tbl set =
 let reads t = created t t.reads (fun t h -> t.reads <- h)
 let prepared_reads t = created t t.prepared_reads (fun t h -> t.prepared_reads <- h)
 let prepared_writes t = created t t.prepared_writes (fun t h -> t.prepared_writes <- h)
-let committed_reads t = created t t.committed_reads (fun t h -> t.committed_reads <- h)
 
 let no_reply = { r_ver = Version.zero; r_val = "" }
 
@@ -125,12 +126,17 @@ let write_missed_by_read t ~reader ~r_ver =
      | Some r -> Missed_uncommitted r
      | None -> No_miss)
 
+(* Only a reader ordered above [w_ver] can have missed it, so the scan
+   starts at [w_ver] in reader order and stops at the first miss. *)
 let committed_read_missing_write t ~w_ver =
-  fold
-    (fun reader r_ver acc ->
-      acc
-      || (Version.compare w_ver reader < 0 && Version.compare r_ver w_ver < 0))
-    t.committed_reads false
+  let rec scan s =
+    match s () with
+    | Seq.Nil -> false
+    | Seq.Cons ((reader, r_ver), rest) ->
+      (Version.compare w_ver reader < 0 && Version.compare r_ver w_ver < 0)
+      || scan rest
+  in
+  scan (Version.Map.to_seq_from w_ver t.committed_reads)
 
 let prepared_read_missing_write t ~w_ver =
   fold
@@ -169,7 +175,7 @@ let commit_write t ~ver value =
   remove t.prepared_writes ver
 
 let commit_read t ~reader ~r_ver =
-  Hashtbl.replace (committed_reads t) reader r_ver;
+  t.committed_reads <- Version.Map.add reader r_ver t.committed_reads;
   remove t.prepared_reads reader;
   remove t.reads reader
 
@@ -188,11 +194,14 @@ let reads_observing t ver =
 
 let gc_below t watermark =
   let stale reader = Version.compare reader watermark < 0 in
-  let to_remove =
-    fold (fun reader _ acc -> if stale reader then reader :: acc else acc)
-      t.committed_reads []
-  in
-  List.iter (remove t.committed_reads) to_remove;
+  (match Version.Map.min_binding_opt t.committed_reads with
+  | Some (oldest, _) when stale oldest ->
+    let _, at, above = Version.Map.split watermark t.committed_reads in
+    t.committed_reads <-
+      (match at with
+      | Some r_ver -> Version.Map.add watermark r_ver above
+      | None -> above)
+  | Some _ | None -> ());
   (* Keep the newest committed write below the watermark (the key's
      current value as of the watermark): it is what any snapshot read at
      [snap >= watermark] observes, and what the below-watermark
@@ -217,6 +226,4 @@ let stats t =
 
 let committed_writes_list t = Version.Map.bindings t.committed_writes
 
-let committed_reads_list t =
-  List.sort compare
-    (fold (fun reader r_ver acc -> (reader, r_ver) :: acc) t.committed_reads [])
+let committed_reads_list t = Version.Map.bindings t.committed_reads

@@ -512,17 +512,20 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
       v_note = note;
     }
   in
-  let missing ~sys ~metric ~host ~verdict base note =
-    let sb = Bstats.summarize base in
+  (* A metric present on one side only: its samples fill that side's
+     columns and the absent side reads 0. *)
+  let missing ~sys ~metric ~host ~verdict ?(base = [||]) ?(cur = [||]) note =
+    let mb = (Bstats.summarize base).Bstats.mean in
+    let mc = (Bstats.summarize cur).Bstats.mean in
     {
       v_system = sys;
       v_metric = metric;
       v_host = host;
       v_verdict = verdict;
-      v_base_mean = sb.Bstats.mean;
-      v_cur_mean = 0.;
-      v_base_ci = (sb.Bstats.mean, sb.Bstats.mean);
-      v_cur_ci = (0., 0.);
+      v_base_mean = mb;
+      v_cur_mean = mc;
+      v_base_ci = (mb, mb);
+      v_cur_ci = (mc, mc);
       v_p = 1.;
       v_effect = 0.;
       v_rel_delta = 0.;
@@ -535,7 +538,7 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
         let sys = be.en_system in
         match find_entry current sys be.en_point with
         | None ->
-          [ missing ~sys ~metric:"(entry)" ~host:false ~verdict:Drift [||]
+          [ missing ~sys ~metric:"(entry)" ~host:false ~verdict:Drift
               "entry missing in current" ]
         | Some ce ->
           let section ~host bsec csec =
@@ -544,7 +547,7 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
                 match List.assoc_opt metric csec with
                 | Some cur -> [ verdict_of ~sys ~metric ~host base cur ]
                 | None ->
-                  [ missing ~sys ~metric ~host ~verdict:Drift base
+                  [ missing ~sys ~metric ~host ~verdict:Drift ~base
                       "missing in current" ])
               bsec
             @ List.filter_map
@@ -552,7 +555,7 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
                   if List.mem_assoc metric bsec then None
                   else
                     Some
-                      (missing ~sys ~metric ~host ~verdict:Info cur
+                      (missing ~sys ~metric ~host ~verdict:Info ~cur
                          "new metric (absent from baseline)"))
                 csec
           in

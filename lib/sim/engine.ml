@@ -1,6 +1,14 @@
 type kind = Timer | Delivery | Ticker
 
-(* Each event is exactly one of: live (queued, will fire), cancelled
+(* A queued event is its action plus a heap key [seq lsl 2 lor code],
+   where [code] is the kind (0-2) or [handle_code].  Ordering by
+   (time, key) is ordering by (time, seq), because [seq] is unique.
+   Handle-free events ([post]) therefore allocate nothing beyond their
+   action.  A cancellable event ([schedule]) is queued under
+   [handle_code] with a dispatcher closure over its [timer] record. *)
+let handle_code = 3
+
+(* Each handle is exactly one of: live (queued, will fire), cancelled
    (queued as a ghost until it reaches the top), fired.  Tracking the
    full state — rather than a single [cancelled] bit — lets [cancel]
    decide whether it is retiring a live event (decrement the live
@@ -8,7 +16,7 @@ type kind = Timer | Delivery | Ticker
    [pending] report live events instead of heap entries. *)
 type state = Live | Cancelled | Fired
 
-type event = {
+type timer = {
   mutable state : state;
   kind : kind;
   action : unit -> unit;
@@ -16,7 +24,7 @@ type event = {
 }
 
 and t = {
-  queue : event Heap.t;
+  queue : (unit -> unit) Heap.t;
   mutable clock : int;
   mutable seq : int;  (* push counter; doubles as the FIFO tiebreak key *)
   mutable fired : int;
@@ -37,8 +45,6 @@ and t = {
   mutable observer : (ts:int -> kind -> unit) option;
 }
 
-type timer = event
-
 type kind_counts = { k_timer : int; k_delivery : int; k_ticker : int }
 
 type heap_stats = {
@@ -53,7 +59,7 @@ type heap_stats = {
 
 let create () =
   {
-    queue = Heap.create ();
+    queue = Heap.create ~dummy:ignore;
     clock = 0;
     seq = 0;
     fired = 0;
@@ -72,24 +78,56 @@ let set_observer t f = t.observer <- Some f
 
 let now t = t.clock
 
-let schedule_at t ?(kind = Timer) ~at f =
-  let at = max at t.clock in
-  let e = { state = Live; kind; action = f; owner = t } in
-  Heap.push t.queue ~time:at ~seq:t.seq e;
+let code_of_kind = function Timer -> 0 | Delivery -> 1 | Ticker -> 2
+
+let push t ~at code f =
+  Heap.push t.queue ~time:(max at t.clock) ~key:((t.seq lsl 2) lor code) f;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
-  if t.live > t.max_live then t.max_live <- t.live;
-  e
+  if t.live > t.max_live then t.max_live <- t.live
+
+let post_at t ?(kind = Timer) ~at f = push t ~at (code_of_kind kind) f
+
+let post t ?(kind = Timer) ~after f =
+  push t ~at:(t.clock + max 0 after) (code_of_kind kind) f
+
+(* Fire a live event: retire it from the live count, count it by kind,
+   show it to the observer, run it. *)
+let fire t kind f =
+  t.live <- t.live - 1;
+  t.fired <- t.fired + 1;
+  (match kind with
+  | Timer -> t.fired_timer <- t.fired_timer + 1
+  | Delivery -> t.fired_delivery <- t.fired_delivery + 1
+  | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
+  (match t.observer with
+  | Some obs -> obs ~ts:t.clock kind
+  | None -> ());
+  f ()
+
+let dispatch h =
+  let t = h.owner in
+  match h.state with
+  | Live ->
+    h.state <- Fired;
+    fire t h.kind h.action
+  | Cancelled -> t.ghost_drains <- t.ghost_drains + 1
+  | Fired -> assert false
+
+let schedule_at t ?(kind = Timer) ~at f =
+  let h = { state = Live; kind; action = f; owner = t } in
+  push t ~at handle_code (fun () -> dispatch h);
+  h
 
 let schedule t ?(kind = Timer) ~after f =
   schedule_at t ~kind ~at:(t.clock + max 0 after) f
 
-let cancel e =
-  match e.state with
+let cancel h =
+  match h.state with
   | Live ->
-    e.state <- Cancelled;
-    e.owner.cancels <- e.owner.cancels + 1;
-    e.owner.live <- e.owner.live - 1
+    h.state <- Cancelled;
+    h.owner.cancels <- h.owner.cancels + 1;
+    h.owner.live <- h.owner.live - 1
   | Cancelled | Fired -> ()
 
 let pending t = t.live
@@ -97,27 +135,21 @@ let pending t = t.live
 let raw_pending t = Heap.length t.queue
 
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, _seq, e) ->
-    t.clock <- max t.clock time;
+  if Heap.is_empty t.queue then false
+  else begin
+    let q = t.queue in
+    let time = Heap.min_time q in
+    let code = Heap.min_key q land 3 in
+    let f = Heap.pop_min q in
+    if time > t.clock then t.clock <- time;
     t.pops <- t.pops + 1;
-    (match e.state with
-    | Live ->
-      e.state <- Fired;
-      t.live <- t.live - 1;
-      t.fired <- t.fired + 1;
-      (match e.kind with
-      | Timer -> t.fired_timer <- t.fired_timer + 1
-      | Delivery -> t.fired_delivery <- t.fired_delivery + 1
-      | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
-      (match t.observer with
-      | Some f -> f ~ts:t.clock e.kind
-      | None -> ());
-      e.action ()
-    | Cancelled -> t.ghost_drains <- t.ghost_drains + 1
-    | Fired -> assert false);
+    (match code with
+    | 0 -> fire t Timer f
+    | 1 -> fire t Delivery f
+    | 2 -> fire t Ticker f
+    | _ -> f ());
     true
+  end
 
 let run t =
   while step t do
@@ -125,11 +157,8 @@ let run t =
   done
 
 let run_until t ~limit =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_time t.queue with
-    | Some time when time <= limit -> ignore (step t)
-    | Some _ | None -> continue := false
+  while (not (Heap.is_empty t.queue)) && Heap.min_time t.queue <= limit do
+    ignore (step t)
   done;
   t.clock <- max t.clock limit
 

@@ -22,14 +22,24 @@ val create : unit -> t
 val now : t -> int
 (** Current virtual time in microseconds. *)
 
+val post : t -> ?kind:kind -> after:int -> (unit -> unit) -> unit
+(** [post t ~after f] runs [f] at [now t + after].  [after] is clamped
+    to be at least 0.  [kind] defaults to [Timer] and only affects the
+    {!events_by_kind} accounting.  The event cannot be cancelled, and
+    queueing it allocates nothing beyond [f] itself. *)
+
+val post_at : t -> ?kind:kind -> at:int -> (unit -> unit) -> unit
+(** [post_at t ~at f] runs [f] at absolute time [at] (or [now t] if
+    [at] is in the past). *)
+
 val schedule : t -> ?kind:kind -> after:int -> (unit -> unit) -> timer
-(** [schedule t ~after f] runs [f] at [now t + after].  [after] is
-    clamped to be at least 0.  [kind] defaults to [Timer] and only
-    affects the {!events_by_kind} accounting. *)
+(** Like {!post}, but returns a handle for {!cancel}; the handle is
+    allocated.  Events from [post] and [schedule] share one sequence
+    counter, so same-instant events fire in scheduling order whichever
+    call queued them. *)
 
 val schedule_at : t -> ?kind:kind -> at:int -> (unit -> unit) -> timer
-(** [schedule_at t ~at f] runs [f] at absolute time [at] (or [now t] if
-    [at] is in the past). *)
+(** Like {!post_at}, returning a cancellation handle. *)
 
 val cancel : timer -> unit
 (** Cancel a scheduled event.  Cancelling a fired or already-cancelled

@@ -2,7 +2,7 @@ type job = {
   cost : int;
   run : unit -> unit;
   enq_us : int;
-  prov : (queue_us:int -> start_us:int -> end_us:int -> unit) option;
+  prov : (queue_us:int -> unit) option;
 }
 
 type t = {
@@ -28,18 +28,16 @@ let cores t = t.n_cores
 let rec start t job =
   t.free <- t.free - 1;
   let start_us = Sim.Engine.now t.engine in
-  ignore
-    (Sim.Engine.schedule t.engine ~after:job.cost (fun () ->
-         let end_us = Sim.Engine.now t.engine in
-         t.busy_us <- t.busy_us + min job.cost (end_us - t.last_reset_us);
-         t.completed <- t.completed + 1;
-         (match job.prov with
-         | None -> ()
-         | Some f ->
-           f ~queue_us:(start_us - job.enq_us) ~start_us ~end_us);
-         job.run ();
-         t.free <- t.free + 1;
-         if not (Queue.is_empty t.waiting) then start t (Queue.pop t.waiting)))
+  Sim.Engine.post t.engine ~after:job.cost (fun () ->
+      let end_us = Sim.Engine.now t.engine in
+      t.busy_us <- t.busy_us + min job.cost (end_us - t.last_reset_us);
+      t.completed <- t.completed + 1;
+      (match job.prov with
+      | None -> ()
+      | Some f -> f ~queue_us:(start_us - job.enq_us));
+      job.run ();
+      t.free <- t.free + 1;
+      if not (Queue.is_empty t.waiting) then start t (Queue.pop t.waiting))
 
 let submit t ?prov ~cost f =
   let job =

@@ -15,7 +15,7 @@ val cores : t -> int
 
 val submit :
   t ->
-  ?prov:(queue_us:int -> start_us:int -> end_us:int -> unit) ->
+  ?prov:(queue_us:int -> unit) ->
   cost:int ->
   (unit -> unit) ->
   unit
@@ -24,9 +24,8 @@ val submit :
 
     [prov] is a provenance hook for the critical-path profiler: it is
     invoked at service completion (just before [f]) with the job's
-    queueing delay and its service-start/-end virtual timestamps
-    ([end_us - start_us = cost]).  It must be read-only with respect to
-    simulation state. *)
+    queueing delay.  It must be read-only with respect to simulation
+    state. *)
 
 val busy_us : t -> int
 (** Cumulative core-busy microseconds consumed so far. *)

@@ -17,8 +17,9 @@ type 'm node_state = {
   mutable handler : (src:node -> 'm -> unit) option;
   mutable crashed : bool;
   (* Earliest time the next message on each inbound channel may be
-     delivered, keyed by sender: enforces per-pair FIFO. *)
-  last_delivery : (node, int) Hashtbl.t;
+     delivered, indexed by sender (0 past the end): enforces per-pair
+     FIFO. *)
+  mutable last_delivery : int array;
 }
 
 type 'm t = {
@@ -47,9 +48,11 @@ type 'm t = {
   mutable loss_rate : float;
   link_loss : (node * node, float) Hashtbl.t;
   mutable extra_delay_us : int;
-  (* Provenance plumbing: [send_path] is the sticky sender-side context
+  (* Provenance plumbing, live only once a profiled component has called
+     [track_provenance]: [send_path] is the sticky sender-side context
      captured by each [send]; [current] is set for the duration of a
      delivery handler invocation. *)
+  mutable provenance : bool;
   mutable send_path : path;
   mutable current : delivery_info option;
   (* Read-only tap on message traffic (the flight recorder).  Observers
@@ -72,7 +75,7 @@ let create engine rng ~setup ?(base_delay_us = 60) ?(jitter_us = 20) () =
     sent = 0; delivered = 0; dropped = 0; cut_links = Hashtbl.create 16;
     named_cuts = Hashtbl.create 4;
     loss_rate = 0.; link_loss = Hashtbl.create 16; extra_delay_us = 0;
-    send_path = no_path; current = None; observer = None }
+    provenance = false; send_path = no_path; current = None; observer = None }
 
 let set_observer t f = t.observer <- Some f
 
@@ -80,7 +83,7 @@ let notify t ev = match t.observer with None -> () | Some f -> f ev
 
 let add_node t ~region =
   let state =
-    { region; handler = None; crashed = false; last_delivery = Hashtbl.create 8 }
+    { region; handler = None; crashed = false; last_delivery = [||] }
   in
   if t.n = Array.length t.nodes then begin
     let cap = max 16 (2 * t.n) in
@@ -105,20 +108,54 @@ let node_count t = t.n
 (* Loss probability for one message on [src -> dst]: the per-link
    setting wins over the global rate.  Only draws from the RNG when a
    non-zero probability is configured, so fault-free runs keep the exact
-   event streams they had before loss injection existed. *)
+   event streams they had before loss injection existed.  The link
+   tables are probed only when non-empty: the fault-free path hashes
+   nothing. *)
 let lost t ~src ~dst =
   let p =
-    match Hashtbl.find_opt t.link_loss (src, dst) with
-    | Some p -> p
-    | None -> t.loss_rate
+    if Hashtbl.length t.link_loss = 0 then t.loss_rate
+    else
+      match Hashtbl.find_opt t.link_loss (src, dst) with
+      | Some p -> p
+      | None -> t.loss_rate
   in
   p > 0. && Sim.Rng.float t.rng 1.0 < p
+
+let is_cut t ~src ~dst =
+  Hashtbl.length t.cut_links > 0 && Hashtbl.mem t.cut_links (src, dst)
+
+let earliest d src =
+  if src < Array.length d.last_delivery then d.last_delivery.(src) else 0
+
+let set_earliest t d src at =
+  if src >= Array.length d.last_delivery then begin
+    let a = Array.make (max t.n (src + 1)) 0 in
+    Array.blit d.last_delivery 0 a 0 (Array.length d.last_delivery);
+    d.last_delivery <- a
+  end;
+  d.last_delivery.(src) <- at
+
+let deliver t d ~src ~dst ~send_us ~at ~path msg =
+  if d.crashed then t.dropped <- t.dropped + 1
+  else
+    match d.handler with
+    | None -> t.dropped <- t.dropped + 1
+    | Some h ->
+      t.delivered <- t.delivered + 1;
+      notify t
+        (Delivered { ne_ts = at; ne_src = src; ne_dst = dst; ne_msg = msg;
+                     ne_send_us = send_us });
+      if t.provenance then begin
+        t.current <- Some { di_send_us = send_us; di_recv_us = at; di_path = path };
+        h ~src msg;
+        t.current <- None
+      end
+      else h ~src msg
 
 let send t ~src ~dst msg =
   let s = check t src and d = check t dst in
   t.sent <- t.sent + 1;
-  if s.crashed || d.crashed || Hashtbl.mem t.cut_links (src, dst)
-     || lost t ~src ~dst then begin
+  if s.crashed || d.crashed || is_cut t ~src ~dst || lost t ~src ~dst then begin
     t.dropped <- t.dropped + 1;
     notify t
       (Sent { ne_ts = Sim.Engine.now t.engine; ne_src = src; ne_dst = dst;
@@ -133,31 +170,17 @@ let send t ~src ~dst msg =
       Latency.one_way_us t.setup s.region d.region + t.base_delay_us + jitter + extra
     in
     let now = Sim.Engine.now t.engine in
-    let earliest =
-      match Hashtbl.find_opt d.last_delivery src with None -> 0 | Some v -> v
-    in
-    let at = max (now + delay) earliest in
-    Hashtbl.replace d.last_delivery src at;
+    let at = max (now + delay) (earliest d src) in
+    set_earliest t d src at;
     let path = t.send_path in
     notify t
       (Sent { ne_ts = now; ne_src = src; ne_dst = dst; ne_msg = msg;
               ne_dropped = false });
-    ignore
-      (Sim.Engine.schedule_at t.engine ~kind:Sim.Engine.Delivery ~at (fun () ->
-           if d.crashed then t.dropped <- t.dropped + 1
-           else
-             match d.handler with
-             | None -> t.dropped <- t.dropped + 1
-             | Some h ->
-               t.delivered <- t.delivered + 1;
-               notify t
-                 (Delivered { ne_ts = at; ne_src = src; ne_dst = dst;
-                              ne_msg = msg; ne_send_us = now });
-               t.current <-
-                 Some { di_send_us = now; di_recv_us = at; di_path = path };
-               h ~src msg;
-               t.current <- None))
+    Sim.Engine.post_at t.engine ~kind:Sim.Engine.Delivery ~at (fun () ->
+        deliver t d ~src ~dst ~send_us:now ~at ~path msg)
   end
+
+let track_provenance t = t.provenance <- true
 
 let set_send_path t ~transit_us ~queue_us ~service_us =
   t.send_path <-
@@ -166,6 +189,32 @@ let set_send_path t ~transit_us ~queue_us ~service_us =
 let clear_send_path t = t.send_path <- no_path
 
 let current_delivery t = t.current
+
+let serve t node cpu ~cost ?on_service handle =
+  match on_service with
+  | None ->
+    set_handler t node (fun ~src msg ->
+        Cpu.submit cpu ~cost:(cost msg) (fun () -> handle ~src msg))
+  | Some note ->
+    track_provenance t;
+    set_handler t node (fun ~src msg ->
+        (* Capture the inbound transit here (delivery info is only valid
+           inside the net handler), then stamp replies sent by the CPU
+           job with transit + measured queueing + service so the client
+           can decompose its wait. *)
+        let transit_us =
+          match t.current with
+          | Some d -> d.di_recv_us - d.di_send_us
+          | None -> 0
+        in
+        let cost = cost msg in
+        Cpu.submit cpu ~cost
+          ~prov:(fun ~queue_us ->
+            note msg ~cost_us:cost;
+            set_send_path t ~transit_us ~queue_us ~service_us:cost)
+          (fun () ->
+            handle ~src msg;
+            clear_send_path t))
 
 let crash t node = (check t node).crashed <- true
 let recover t node = (check t node).crashed <- false

@@ -35,32 +35,41 @@ val send : 'm t -> src:node -> dst:node -> 'm -> unit
 
 (** {2 Message provenance (critical-path profiler)}
 
-    Each delivery records its send/receive virtual timestamps plus the
-    {!path} — transit, CPU-queue and CPU-service microseconds the
-    message's causal chain accumulated upstream, as declared by the
-    sender via {!set_send_path}.  Everything here is observational: no
-    randomness is drawn and no scheduling changes, so instrumented and
-    uninstrumented runs are bit-identical. *)
+    Once {!track_provenance} has been called, each delivery records its
+    send/receive virtual timestamps plus the {!path} — transit,
+    CPU-queue and CPU-service microseconds the message's causal chain
+    accumulated upstream, stamped by a profiled server ({!serve}) on the
+    replies its jobs send.  Components call {!track_provenance} exactly
+    when they are built with a profiler attached
+    ([Obs.Profile.enabled]), so unprofiled runs pay nothing for it.
+    Everything here is observational: no randomness is drawn and no
+    scheduling changes, so instrumented and uninstrumented runs are
+    bit-identical. *)
+
+val track_provenance : 'm t -> unit
+(** Start recording delivery provenance for the rest of the run
+    (idempotent).  Until then {!current_delivery} is always [None]. *)
 
 type path = { p_transit_us : int; p_queue_us : int; p_service_us : int }
 
-val no_path : path
-
 type delivery_info = { di_send_us : int; di_recv_us : int; di_path : path }
-
-val set_send_path :
-  'm t -> transit_us:int -> queue_us:int -> service_us:int -> unit
-(** Declare the upstream path cost attached to every subsequent {!send}
-    until {!clear_send_path}.  Instrumented replica service wrappers set
-    this around message handling so replies carry their request's
-    transit plus the handler's queueing and service time. *)
-
-val clear_send_path : 'm t -> unit
 
 val current_delivery : 'm t -> delivery_info option
 (** The delivery being handled right now — valid only during a handler
     invocation ([None] otherwise, e.g. inside timer callbacks or CPU
-    jobs that run after the handler returned). *)
+    jobs that run after the handler returned, and always [None] while
+    provenance is not tracked). *)
+
+val serve :
+  'm t -> node -> Cpu.t -> cost:('m -> int) ->
+  ?on_service:('m -> cost_us:int -> unit) ->
+  (src:node -> 'm -> unit) -> unit
+(** Install a server's handler: each delivered message becomes one job
+    of [cost msg] microseconds on [cpu] that runs the handler.  Passing
+    [on_service] (profiled servers) turns on {!track_provenance}; each
+    job then calls [on_service] at service completion, and replies the
+    handler sends carry the request's transit plus the job's queueing
+    and service time as their {!path}. *)
 
 (** {2 Traffic observer (flight recorder)}
 

@@ -100,7 +100,8 @@ type t = {
   mon : Obs.Monitor.t;
   lin : Obs.Lineage.t;
   (* Latency-decomposition state for the transaction this (closed-loop)
-     client is currently driving; see Obs.Profile. *)
+     client is currently driving; see Obs.Profile.  Kept only while the
+     profiler is enabled ([c_cur] stays [None] otherwise). *)
   mutable c_cur : txn option;
   mutable c_comps : int array;
   mutable c_last_ev : int;
@@ -322,12 +323,11 @@ let do_commit_wait t txn cs =
     max 0 (commit_ts + t.cfg.truetime_eps_us - Sim.Clock.read t.clock)
   in
   if txn.seg = `Prep then switch_segment t txn `Fin;
-  ignore
-    (Engine.schedule t.engine ~after:wait (fun () ->
-         List.iter
-           (fun g -> send t t.leaders.(g) (Msg.Commit2pc { txn = txn.id; commit_ver }))
-           (participants t txn);
-         finish t txn ~ver:commit_ver Outcome.Committed))
+  Engine.post t.engine ~after:wait (fun () ->
+      List.iter
+        (fun g -> send t t.leaders.(g) (Msg.Commit2pc { txn = txn.id; commit_ver }))
+        (participants t txn);
+      finish t txn ~ver:commit_ver Outcome.Committed)
 
 let handle_prepare_ack t txn_id group prepare_ts =
   match Hashtbl.find_opt t.txns txn_id with
@@ -383,14 +383,13 @@ let rec fr_send_read t txn (fr : fr_state) seq (p : pend) =
   let dst = members.((t.closest_ix.(g) + fr.fr_redirect.(g)) mod n) in
   send t dst (Msg.Ro_read { ro_id = txn.ro_id; key = p.pd_key; ts = txn.ro_ts; seq });
   let tries = p.pd_tries in
-  ignore
-    (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-         (* Unchanged [pd_tries] means no reply and no redirect landed in
-            the meantime: treat the replica as unreachable. *)
-         if
-           (not txn.finished) && fr.fr_doomed = None && p.pd_tries = tries
-           && List.mem_assoc seq txn.pending
-         then fr_redirect_read t txn fr seq p))
+  Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+      (* Unchanged [pd_tries] means no reply and no redirect landed in
+         the meantime: treat the replica as unreachable. *)
+      if
+        (not txn.finished) && fr.fr_doomed = None && p.pd_tries = tries
+        && List.mem_assoc seq txn.pending
+      then fr_redirect_read t txn fr seq p)
 
 and fr_redirect_read t txn (fr : fr_state) seq (p : pend) =
   if (not txn.finished) && fr.fr_doomed = None then begin
@@ -406,12 +405,11 @@ and fr_redirect_read t txn (fr : fr_state) seq (p : pend) =
         Sim.Backoff.full_jitter t.rng ~base_us:5_000 ~cap_us:160_000
           ~attempt:p.pd_tries
       in
-      ignore
-        (Engine.schedule t.engine ~after:wait (fun () ->
-             if
-               (not txn.finished) && fr.fr_doomed = None
-               && List.mem_assoc seq txn.pending
-             then fr_send_read t txn fr seq p))
+      Engine.post t.engine ~after:wait (fun () ->
+          if
+            (not txn.finished) && fr.fr_doomed = None
+            && List.mem_assoc seq txn.pending
+          then fr_send_read t txn fr seq p)
     end
   end
 
@@ -491,9 +489,14 @@ let create ~cfg ~engine ~net ~rng ~region ~leaders ~partition
       on_finish;
     }
   in
-  Net.set_handler net node (fun ~src msg ->
-      profile_arrival t;
-      handle t ~src msg);
+  Net.set_handler net node
+    (if Obs.Profile.enabled prof then begin
+       Net.track_provenance net;
+       fun ~src msg ->
+         profile_arrival t;
+         handle t ~src msg
+     end
+     else handle t);
   t
 
 let fresh_txn t ~ro ~frs =
@@ -531,9 +534,11 @@ let fresh_txn t ~ro ~frs =
   }
 
 let track t txn =
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- txn.t_start_us
+  if Obs.Profile.enabled t.prof then begin
+    t.c_cur <- Some txn;
+    t.c_comps <- Array.make Obs.Profile.n_cells 0;
+    t.c_last_ev <- txn.t_start_us
+  end
 
 let begin_ t body =
   let txn = fresh_txn t ~ro:false ~frs:None in

@@ -183,7 +183,7 @@ let rec check_ro_queue t =
   List.iter (fun (_, k) -> k ()) serve;
   if wait <> [] then
     (* Clock-bound waiters become servable as time passes. *)
-    ignore (Engine.schedule t.engine ~after:1_000 (fun () -> check_ro_queue t))
+    Engine.post t.engine ~after:1_000 (fun () -> check_ro_queue t)
 
 (* --- Wound-wait plumbing -------------------------------------------------- *)
 
@@ -331,9 +331,8 @@ let handle_prepare2pc t ~src txn writes =
       Hashtbl.replace t.pending_preps txn pp;
       (* Cross-leader 2PC deadlocks (both sides blocked on prepared,
          immune participants) are broken by a timeout. *)
-      ignore
-        (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-             if Hashtbl.mem t.pending_preps txn then wound t txn))
+      Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+          if Hashtbl.mem t.pending_preps txn then wound t txn)
     end
   end
 
@@ -392,7 +391,7 @@ let handle_ro_read t ~src ro_id key ts seq =
     if ts <= safe_time t then serve ()
     else begin
       t.ro_waiting <- (ts, serve) :: t.ro_waiting;
-      ignore (Engine.schedule t.engine ~after:1_000 (fun () -> check_ro_queue t))
+      Engine.post t.engine ~after:1_000 (fun () -> check_ro_queue t)
     end
   else if ts <= t.follower_safe_ts then begin
     if Obs.Monitor.enabled t.mon then
@@ -577,36 +576,27 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
   if index = 0 && cfg.Config.max_staleness_us > 0 && cfg.Config.hb_interval_us > 0
   then begin
     let rec tick () =
-      ignore
-        (Engine.schedule t.engine ~after:cfg.Config.hb_interval_us (fun () ->
-             if t.stopped then ()
-             else begin
-               let hb =
-                 Msg.Apply_hb { last_seq = t.apply_seq; safe_ts = safe_time t }
-               in
-               Array.iteri
-                 (fun i dst -> if i <> t.index then send t dst hb)
-                 t.peers;
-               tick ()
-             end))
+      Engine.post t.engine ~after:cfg.Config.hb_interval_us (fun () ->
+          if t.stopped then ()
+          else begin
+            let hb =
+              Msg.Apply_hb { last_seq = t.apply_seq; safe_ts = safe_time t }
+            in
+            Array.iteri
+              (fun i dst -> if i <> t.index then send t dst hb)
+              t.peers;
+            tick ()
+          end)
     in
     tick ()
   end;
-  Net.set_handler net node (fun ~src msg ->
-      let transit_us =
-        match Net.current_delivery net with
-        | Some d -> d.Net.di_recv_us - d.Net.di_send_us
-        | None -> 0
-      in
-      let cost = service_cost t msg in
-      Cpu.submit t.cpu ~cost
-        ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-          Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
-            ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
-          Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
-        (fun () ->
-          handle t ~src msg;
-          Net.clear_send_path net));
+  let on_service msg ~cost_us =
+    Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver:(busy_owner msg)
+      ~eid:0 ~cost_us
+  in
+  Net.serve net node t.cpu ~cost:(service_cost t)
+    ?on_service:(if Obs.Profile.enabled prof then Some on_service else None)
+    (handle t);
   t
 
 let create ~cfg ~engine ~net ~group ~index ~region ~cores ?prof ?mon ?lineage () =

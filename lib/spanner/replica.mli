@@ -38,8 +38,8 @@ val create :
   unit ->
   t
 (** [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
+    contention hooks; when it is enabled, replies also carry message
+    provenance ({!Simnet.Net.serve}) for the client-side decomposition.
     [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
     (lock grants with holder evidence, prepared-table size, commit
     installs); purely observational.  [lineage] (default

@@ -99,7 +99,8 @@ type t = {
   mon : Obs.Monitor.t;
   lin : Obs.Lineage.t;
   (* Latency-decomposition state for the transaction this (closed-loop)
-     client is currently driving; see Obs.Profile. *)
+     client is currently driving; see Obs.Profile.  Kept only while the
+     profiler is enabled ([c_cur] stays [None] otherwise). *)
   mutable c_cur : txn option;
   mutable c_comps : int array;
   mutable c_last_ev : int;
@@ -297,14 +298,13 @@ let rec evaluate_group t txn (g : group_state) ~forced =
     end
 
 and arm_commit_timer t txn gs =
-  ignore
-    (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-         if not txn.finished then begin
-           List.iter (fun g -> evaluate_group t txn g ~forced:true) gs;
-           match txn.phase with
-           | Committing _ when not txn.finished -> arm_commit_timer t txn gs
-           | Committing _ | Executing | Done -> ()
-         end))
+  Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+      if not txn.finished then begin
+        List.iter (fun g -> evaluate_group t txn g ~forced:true) gs;
+        match txn.phase with
+        | Committing _ when not txn.finished -> arm_commit_timer t txn gs
+        | Committing _ | Executing | Done -> ()
+      end)
 
 let deliver_read t txn (p : pend) key w_ver value seq =
   txn.pending <- List.remove_assoc seq txn.pending;
@@ -350,14 +350,13 @@ let rec ro_send_read t txn (ro : ro_state) seq (p : pend) =
   let dst = t.groups.(g).((t.closest_ix.(g) + ro.ro_redirect.(g)) mod n) in
   send t dst (Msg.Ro_read { txn = txn.id; key = p.pd_key; seq; snap = ro.ro_snap });
   let tries = p.pd_tries in
-  ignore
-    (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-         (* Unchanged [pd_tries] means no reply and no redirect landed in
-            the meantime: treat the replica as unreachable. *)
-         if
-           (not txn.finished) && ro.ro_doomed = None && p.pd_tries = tries
-           && List.mem_assoc seq txn.pending
-         then ro_redirect_read t txn ro seq p))
+  Engine.post t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
+      (* Unchanged [pd_tries] means no reply and no redirect landed in
+         the meantime: treat the replica as unreachable. *)
+      if
+        (not txn.finished) && ro.ro_doomed = None && p.pd_tries = tries
+        && List.mem_assoc seq txn.pending
+      then ro_redirect_read t txn ro seq p)
 
 and ro_redirect_read t txn (ro : ro_state) seq (p : pend) =
   if (not txn.finished) && ro.ro_doomed = None then begin
@@ -373,12 +372,11 @@ and ro_redirect_read t txn (ro : ro_state) seq (p : pend) =
         Sim.Backoff.full_jitter t.rng ~base_us:5_000 ~cap_us:160_000
           ~attempt:p.pd_tries
       in
-      ignore
-        (Engine.schedule t.engine ~after:wait (fun () ->
-             if
-               (not txn.finished) && ro.ro_doomed = None
-               && List.mem_assoc seq txn.pending
-             then ro_send_read t txn ro seq p))
+      Engine.post t.engine ~after:wait (fun () ->
+          if
+            (not txn.finished) && ro.ro_doomed = None
+            && List.mem_assoc seq txn.pending
+          then ro_send_read t txn ro seq p)
     end
   end
 
@@ -521,9 +519,14 @@ let create ~cfg ~engine ~net ~rng ~region ~groups ~partition
       on_finish;
     }
   in
-  Net.set_handler net node (fun ~src msg ->
-      profile_arrival t;
-      handle t ~src msg);
+  Net.set_handler net node
+    (if Obs.Profile.enabled prof then begin
+       Net.track_provenance net;
+       fun ~src msg ->
+         profile_arrival t;
+         handle t ~src msg
+     end
+     else handle t);
   t
 
 let begin_with t ~ro body =
@@ -542,9 +545,11 @@ let begin_with t ~ro body =
   in
   Hashtbl.replace t.txns id txn;
   t.stats.begun <- t.stats.begun + 1;
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- now;
+  if Obs.Profile.enabled t.prof then begin
+    t.c_cur <- Some txn;
+    t.c_comps <- Array.make Obs.Profile.n_cells 0;
+    t.c_last_ev <- now
+  end;
   if Obs.Sink.enabled t.obs then mark t txn "begin" [];
   Obs.Lineage.note_begin t.lin ~ver:(vpair id) ~ts:now;
   body { c_txn = txn }

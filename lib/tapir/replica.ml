@@ -439,41 +439,32 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
   if index = 0 && cfg.Config.max_staleness_us > 0 && cfg.Config.wm_interval_us > 0
   then begin
     let rec tick () =
-      ignore
-        (Sim.Engine.schedule t.engine ~after:cfg.Config.wm_interval_us
-           (fun () ->
-             if t.stopped then ()
-             else begin
-               let w = Sim.Engine.now t.engine - cfg.Config.wm_interval_us in
-               if w > 0 && Array.length t.peers > 0 then begin
-                 let round = t.wm_round in
-                 t.wm_round <- round + 1;
-                 Hashtbl.replace t.wm_acks round
-                   { wr_w = w; wr_ok = []; wr_commits = [] };
-                 Array.iter
-                   (fun dst -> send t dst (Msg.Wm_mark { round; w }))
-                   t.peers
-               end;
-               tick ()
-             end))
+      Sim.Engine.post t.engine ~after:cfg.Config.wm_interval_us
+        (fun () ->
+          if t.stopped then ()
+          else begin
+            let w = Sim.Engine.now t.engine - cfg.Config.wm_interval_us in
+            if w > 0 && Array.length t.peers > 0 then begin
+              let round = t.wm_round in
+              t.wm_round <- round + 1;
+              Hashtbl.replace t.wm_acks round
+                { wr_w = w; wr_ok = []; wr_commits = [] };
+              Array.iter
+                (fun dst -> send t dst (Msg.Wm_mark { round; w }))
+                t.peers
+            end;
+            tick ()
+          end)
     in
     tick ()
   end;
-  Net.set_handler net node (fun ~src msg ->
-      let transit_us =
-        match Net.current_delivery net with
-        | Some d -> d.Net.di_recv_us - d.Net.di_send_us
-        | None -> 0
-      in
-      let cost = service_cost t msg in
-      Cpu.submit t.cpu ~cost
-        ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-          Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
-            ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
-          Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
-        (fun () ->
-          handle t ~src msg;
-          Net.clear_send_path net));
+  let on_service msg ~cost_us =
+    Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver:(busy_owner msg)
+      ~eid:0 ~cost_us
+  in
+  Net.serve net node t.cpu ~cost:(service_cost t)
+    ?on_service:(if Obs.Profile.enabled prof then Some on_service else None)
+    (handle t);
   t
 
 let create ~cfg ~engine ~net ~group ~index ~region ~cores ?prof ?mon ?lineage () =

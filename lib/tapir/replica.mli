@@ -34,8 +34,8 @@ val create :
   unit ->
   t
 (** [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
+    contention hooks; when it is enabled, replies also carry message
+    provenance ({!Simnet.Net.serve}) for the client-side decomposition.
     [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
     (prepared-table size, commit installs, IR operation classing);
     purely observational.  [lineage] (default {!Obs.Lineage.null})

@@ -184,6 +184,17 @@ let test_missing_and_new_metrics () =
     (Obs.Ledger.verdict_to_string (find c "morty" "gone").Obs.Ledger.v_verdict);
   Alcotest.(check string) "new metric informational" "info"
     (Obs.Ledger.verdict_to_string (find c "morty" "fresh").Obs.Ledger.v_verdict);
+  (* Each one-sided metric's samples sit in its own side's columns. *)
+  let gone = find c "morty" "gone" and fresh = find c "morty" "fresh" in
+  let means v = Obs.Ledger.(v.v_base_mean, v.v_cur_mean) in
+  let cis v = Obs.Ledger.(v.v_base_ci, v.v_cur_ci) in
+  let f2 = Alcotest.(pair (float 0.) (float 0.)) in
+  Alcotest.check f2 "gone: baseline mean" (1., 0.) (means gone);
+  Alcotest.check (Alcotest.pair f2 f2) "gone: baseline CI"
+    ((1., 1.), (0., 0.)) (cis gone);
+  Alcotest.check f2 "fresh: current mean" (0., 2.) (means fresh);
+  Alcotest.check (Alcotest.pair f2 f2) "fresh: current CI"
+    ((0., 0.), (2., 2.)) (cis fresh);
   Alcotest.(check int) "missing is not fatal" 0 c.Obs.Ledger.c_regressions
 
 let test_host_gating () =

@@ -162,6 +162,49 @@ let test_vrecord_abort_cleanup () =
   let r = Vrecord.latest_before vr (v 10) in
   Alcotest.(check string) "aborted write invisible" "" r.r_val
 
+(* Check 2a scans only the committed readers above the writer.  It must
+   agree with the fold over every committed reader that it replaced,
+   before and after a GC pass drops the readers below a watermark.
+   Small version ranges make ties (reader = writer, r_ver = writer,
+   re-committed readers) common. *)
+let qcheck_check2a_matches_fold =
+  let ver =
+    QCheck.Gen.(map2 (fun ts id -> Version.make ~ts ~id) (0 -- 12) (0 -- 2))
+  in
+  QCheck.Test.make ~name:"check 2a scan = fold over all readers" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad (list_size (0 -- 30) (pair ver ver)) (list_size (1 -- 8) ver) ver bool))
+    (fun (reads, writers, watermark, gc) ->
+      let vr = Vrecord.create () in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (reader, r_ver) ->
+          Vrecord.commit_read vr ~reader ~r_ver;
+          Hashtbl.replace model reader r_ver)
+        reads;
+      if gc then begin
+        Vrecord.gc_below vr watermark;
+        Hashtbl.filter_map_inplace
+          (fun reader r_ver ->
+            if Version.compare reader watermark < 0 then None else Some r_ver)
+          model
+      end;
+      let fold ~w_ver =
+        Hashtbl.fold
+          (fun reader r_ver acc ->
+            acc
+            || (Version.compare w_ver reader < 0 && Version.compare r_ver w_ver < 0))
+          model false
+      in
+      Vrecord.committed_reads_list vr
+      = List.sort compare (Hashtbl.fold (fun r v acc -> (r, v) :: acc) model [])
+      && List.for_all
+           (fun w_ver ->
+             Vrecord.committed_read_missing_write vr ~w_ver = fold ~w_ver)
+           writers)
+
 (* A store holds one record per key per replica, and most keys of a
    large keyspace are loaded and then only read.  Such a cold record
    must stay its committed binding alone — no conflict tables — and no
@@ -324,6 +367,7 @@ let suites =
         Alcotest.test_case "gc" `Quick test_vrecord_gc;
         Alcotest.test_case "abort cleanup" `Quick test_vrecord_abort_cleanup;
         Alcotest.test_case "cold record" `Quick test_vrecord_cold_record;
+        QCheck_alcotest.to_alcotest qcheck_check2a_matches_fold;
       ] );
     ( "morty.ablation",
       [

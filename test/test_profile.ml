@@ -271,6 +271,134 @@ let test_shape_spanner_idle () =
     (Printf.sprintf "spanner idle (backoff+proto) dominates (%.3f > 0.5)" f)
     true (f > 0.5)
 
+(* Provenance is paid for only when a profiler is attached, and the
+   gating must not perturb anything.  On all four stacks a profiled and
+   an unprofiled run of the same seed give equal deterministic digests
+   (outcomes, latency quantiles, engine counters). *)
+let digest (r : Harness.Stats.result) =
+  Printf.sprintf "c=%d a=%d p50=%h p99=%h %s" r.Harness.Stats.r_committed
+    r.r_aborted r.r_p50_latency_ms r.r_p99_latency_ms
+    (Obs.Engstat.det_line r.r_engstat)
+
+let test_profiler_zero_perturbation () =
+  List.iter
+    (fun system ->
+      let e = contended_exp ~system ~clients:8 ~seed:5 () in
+      let bare = Harness.Run.run_exp e in
+      let profiled, prof = run_prof ~system ~clients:8 ~seed:5 () in
+      let name = Harness.Run.system_name system in
+      Alcotest.(check bool) (name ^ ": profiled run recorded txns") true
+        (Obs.Profile.n_txns prof > 0);
+      Alcotest.(check string) (name ^ ": digest") (digest bare) (digest profiled))
+    Harness.Run.[ Morty; Mvtso; Tapir; Spanner ]
+
+(* One read-write transaction on a small cluster of each stack, built
+   with or without a profiler.  The read's continuation runs inside the
+   client's delivery handler; it reports whether [Net.current_delivery]
+   was set there. *)
+module Probe (C : Cc_types.Kv_api.S) = struct
+  let run engine net client =
+    let seen = ref None and outcome = ref None in
+    C.begin_ client (fun ctx ->
+        C.get client ctx "k" (fun ctx _ ->
+            seen := Some (Simnet.Net.current_delivery net <> None);
+            let ctx = C.put client ctx "k" "v" in
+            C.commit client ctx (fun o -> outcome := Some o)));
+    Sim.Engine.run_until engine ~limit:2_000_000;
+    Alcotest.(check bool) "transaction finished" true (!outcome <> None);
+    Option.get !seen
+end
+
+let morty_delivery_seen ~cfg prof =
+  let engine = Sim.Engine.create () and rng = Sim.Rng.create 3 in
+  let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:Simnet.Latency.Reg () in
+  let replicas =
+    Array.init 3 (fun i ->
+        Morty.Replica.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:i
+          ~region:(Simnet.Latency.Az i) ~cores:1 ?prof ())
+  in
+  let nodes = Array.map Morty.Replica.node replicas in
+  Array.iter
+    (fun r ->
+      Morty.Replica.set_peers r nodes;
+      Morty.Replica.load r [ ("k", "0") ])
+    replicas;
+  let client =
+    Morty.Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng)
+      ~region:(Simnet.Latency.Az 0) ~replicas:nodes ?prof ()
+  in
+  let module P = Probe (Morty.Client) in
+  P.run engine net client
+
+let tapir_delivery_seen prof =
+  let cfg = Tapir.Config.default in
+  let engine = Sim.Engine.create () and rng = Sim.Rng.create 3 in
+  let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:Simnet.Latency.Reg () in
+  let groups =
+    Array.init cfg.Tapir.Config.n_groups (fun g ->
+        Array.init (Tapir.Config.n_replicas cfg) (fun i ->
+            Tapir.Replica.create ~cfg ~engine ~net ~group:g ~index:i
+              ~region:(Simnet.Latency.Az i) ~cores:1 ?prof ()))
+  in
+  let nodes = Array.map (Array.map Tapir.Replica.node) groups in
+  Array.iteri
+    (fun g group ->
+      Array.iter
+        (fun r ->
+          Tapir.Replica.set_peers r nodes.(g);
+          Tapir.Replica.load r [ ("k", "0") ])
+        group)
+    groups;
+  let client =
+    Tapir.Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng)
+      ~region:(Simnet.Latency.Az 0) ~groups:nodes
+      ~partition:(fun key -> Hashtbl.hash key mod cfg.n_groups) ?prof ()
+  in
+  let module P = Probe (Tapir.Client) in
+  P.run engine net client
+
+let spanner_delivery_seen prof =
+  let cfg = Spanner.Config.default in
+  let engine = Sim.Engine.create () and rng = Sim.Rng.create 3 in
+  let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:Simnet.Latency.Reg () in
+  let groups =
+    Array.init cfg.Spanner.Config.n_groups (fun g ->
+        Array.init (Spanner.Config.n_replicas cfg) (fun i ->
+            Spanner.Replica.create ~cfg ~engine ~net ~group:g ~index:i
+              ~region:(Simnet.Latency.Az ((g + i) mod 3)) ~cores:1 ?prof ()))
+  in
+  Array.iter
+    (fun group ->
+      let peers = Array.map Spanner.Replica.node group in
+      Array.iter
+        (fun r ->
+          Spanner.Replica.set_peers r peers;
+          Spanner.Replica.load r [ ("k", "0") ])
+        group)
+    groups;
+  let client =
+    Spanner.Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng)
+      ~region:(Simnet.Latency.Az 0)
+      ~leaders:(Array.map (fun g -> Spanner.Replica.node g.(0)) groups)
+      ~partition:(fun key -> Hashtbl.hash key mod cfg.n_groups) ?prof ()
+  in
+  let module P = Probe (Spanner.Client) in
+  P.run engine net client
+
+let test_no_provenance_without_profiler () =
+  List.iter
+    (fun (name, seen) ->
+      Alcotest.(check bool) (name ^ ": no delivery record unprofiled") false
+        (seen None);
+      Alcotest.(check bool) (name ^ ": delivery record when profiled") true
+        (seen (Some (Obs.Profile.create ()))))
+    [
+      ("morty", morty_delivery_seen ~cfg:Morty.Config.default);
+      ("mvtso", morty_delivery_seen ~cfg:(Morty.Config.mvtso Morty.Config.default));
+      ("tapir", tapir_delivery_seen);
+      ("spanner", spanner_delivery_seen);
+    ]
+
 let suites =
   [
     ( "profile-core",
@@ -287,6 +415,10 @@ let suites =
           `Quick test_decomposition_sums;
         Alcotest.test_case "waste identity (all systems)" `Quick
           test_waste_identity;
+        Alcotest.test_case "profiler does not perturb (all systems)" `Quick
+          test_profiler_zero_perturbation;
+        Alcotest.test_case "no provenance without profiler (all systems)"
+          `Quick test_no_provenance_without_profiler;
       ] );
     ( "profile-shape",
       [

@@ -128,25 +128,32 @@ let test_zipf_invalid_args () =
     (Invalid_argument "Dist.zipf: theta must be non-negative") (fun () ->
       ignore (Dist.zipf ~n:10 ~theta:(-1.)))
 
+(* [(time, key, value)] of the minimum, removed; [None] when empty. *)
+let heap_pop h =
+  if Heap.is_empty h then None
+  else
+    let time = Heap.min_time h and key = Heap.min_key h in
+    Some (time, key, Heap.pop_min h)
+
 let test_heap_orders_by_time () =
-  let h = Heap.create () in
-  Heap.push h ~time:30 ~seq:0 "c";
-  Heap.push h ~time:10 ~seq:1 "a";
-  Heap.push h ~time:20 ~seq:2 "b";
-  let pop () = match Heap.pop h with Some (_, _, v) -> v | None -> "?" in
+  let h = Heap.create ~dummy:"" in
+  Heap.push h ~time:30 ~key:0 "c";
+  Heap.push h ~time:10 ~key:1 "a";
+  Heap.push h ~time:20 ~key:2 "b";
+  let pop () = match heap_pop h with Some (_, _, v) -> v | None -> "?" in
   let first = pop () in
   let second = pop () in
   let third = pop () in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
 
 let test_heap_fifo_within_same_time () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:(-1) in
   for i = 0 to 9 do
-    Heap.push h ~time:5 ~seq:i i
+    Heap.push h ~time:5 ~key:i i
   done;
   let out = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match heap_pop h with
     | Some (_, _, v) ->
       out := v :: !out;
       drain ()
@@ -156,16 +163,16 @@ let test_heap_fifo_within_same_time () =
   Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !out)
 
 let test_heap_random_stress () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:() in
   let r = Rng.create 99 in
   let n = 5_000 in
   for i = 0 to n - 1 do
-    Heap.push h ~time:(Rng.int r 1000) ~seq:i ()
+    Heap.push h ~time:(Rng.int r 1000) ~key:i ()
   done;
   Alcotest.(check int) "length" n (Heap.length h);
   let prev = ref min_int in
   for _ = 1 to n do
-    match Heap.pop h with
+    match heap_pop h with
     | Some (t, _, ()) ->
       if t < !prev then Alcotest.fail "heap order violated";
       prev := t
@@ -316,13 +323,154 @@ let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (int_bound 10_000))
     (fun times ->
-      let h = Heap.create () in
-      List.iteri (fun i t -> Heap.push h ~time:t ~seq:i ()) times;
+      let h = Heap.create ~dummy:() in
+      List.iteri (fun i t -> Heap.push h ~time:t ~key:i ()) times;
       let rec drain acc =
-        match Heap.pop h with Some (t, _, ()) -> drain (t :: acc) | None -> List.rev acc
+        match heap_pop h with Some (t, _, ()) -> drain (t :: acc) | None -> List.rev acc
       in
       let out = drain [] in
       out = List.sort compare times)
+
+(* Differential: pushes and pops interleaved over few distinct times
+   (so ties are common) against a sorted-list reference.  Keys are
+   unique but not in push order, so ties resolve by key, not by
+   arrival. *)
+let qcheck_heap_differential =
+  QCheck.Test.make ~name:"heap matches sorted reference" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 400) (pair bool (pair (int_bound 7) (int_bound 7))))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) in
+      let reference = ref [] in
+      let ok = ref true in
+      List.iteri
+        (fun i (is_push, (time, k)) ->
+          if is_push then begin
+            let key = (k lsl 12) lor i in
+            Heap.push h ~time ~key i;
+            reference := List.merge compare [ (time, key, i) ] !reference
+          end
+          else
+            match (heap_pop h, !reference) with
+            | None, [] -> ()
+            | Some got, want :: rest ->
+              if got <> want then ok := false;
+              reference := rest
+            | Some _, [] | None, _ :: _ -> ok := false;
+          if Heap.length h <> List.length !reference then ok := false)
+        ops;
+      let rec drain () =
+        match heap_pop h with
+        | Some x -> x :: drain ()
+        | None -> []
+      in
+      !ok && drain () = !reference)
+
+(* Differential: the engine against a reference queue kept as a plain
+   list and scanned for its (time, seq) minimum.  Handle-free posts,
+   cancellable schedules, steps and cancels are interleaved over a few
+   distinct instants; the firing order and every engine counter must
+   match. *)
+type ref_event = {
+  r_time : int;
+  r_seq : int;
+  r_kind : int;
+  mutable r_state : [ `Live | `Cancelled | `Fired ];
+}
+
+let qcheck_engine_differential =
+  let kind_of = function
+    | 0 -> Engine.Timer
+    | 1 -> Engine.Delivery
+    | _ -> Engine.Ticker
+  in
+  QCheck.Test.make ~name:"engine matches reference queue" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 300) (pair (int_bound 4) (pair (int_bound 5) (int_bound 2))))
+    (fun ops ->
+      let e = Engine.create () in
+      let fired = ref [] and want = ref [] in
+      let queue = ref [] and handles = ref [||] in
+      let clock = ref 0 and seq = ref 0 in
+      let by_kind = Array.make 3 0 in
+      let pops = ref 0 and cancels = ref 0 and ghosts = ref 0 in
+      let live = ref 0 and max_live = ref 0 and max_raw = ref 0 in
+      let push at kind =
+        let ev =
+          { r_time = max at !clock; r_seq = !seq; r_kind = kind; r_state = `Live }
+        in
+        incr seq;
+        queue := ev :: !queue;
+        incr live;
+        max_live := max !max_live !live;
+        max_raw := max !max_raw (List.length !queue);
+        (ev, fun () -> fired := (ev.r_seq, Engine.now e) :: !fired)
+      in
+      let ref_step () =
+        match !queue with
+        | [] -> ()
+        | first :: _ ->
+          let m =
+            List.fold_left
+              (fun m ev -> if (ev.r_time, ev.r_seq) < (m.r_time, m.r_seq) then ev else m)
+              first !queue
+          in
+          queue := List.filter (fun ev -> ev != m) !queue;
+          clock := max !clock m.r_time;
+          incr pops;
+          if m.r_state = `Cancelled then incr ghosts
+          else begin
+            m.r_state <- `Fired;
+            decr live;
+            by_kind.(m.r_kind) <- by_kind.(m.r_kind) + 1;
+            want := (m.r_seq, !clock) :: !want
+          end
+      in
+      let ok = ref true in
+      List.iter
+        (fun (op, (dt, k)) ->
+          (match op with
+          | 0 ->
+            let _, f = push (Engine.now e + dt) k in
+            Engine.post e ~kind:(kind_of k) ~after:dt f
+          | 1 ->
+            let ev, f = push (Engine.now e + dt) k in
+            let h = Engine.schedule_at e ~kind:(kind_of k) ~at:(Engine.now e + dt) f in
+            handles := Array.append !handles [| (ev, h) |]
+          | 2 | 3 ->
+            ref_step ();
+            ignore (Engine.step e)
+          | _ ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let ev, h = !handles.((dt * 7 + k) mod n) in
+              if ev.r_state = `Live then begin
+                ev.r_state <- `Cancelled;
+                incr cancels;
+                decr live
+              end;
+              Engine.cancel h
+            end);
+          if Engine.pending e <> !live || Engine.raw_pending e <> List.length !queue
+          then ok := false)
+        ops;
+      Engine.run e;
+      while !queue <> [] do
+        ref_step ()
+      done;
+      let kc = Engine.events_by_kind e and hs = Engine.heap_stats e in
+      !ok
+      && List.rev !fired = List.rev !want
+      && kc.Engine.k_timer = by_kind.(0)
+      && kc.k_delivery = by_kind.(1)
+      && kc.k_ticker = by_kind.(2)
+      && hs.Engine.hs_pushes = !seq
+      && hs.hs_pops = !pops
+      && hs.hs_cancels = !cancels
+      && hs.hs_ghost_drains = !ghosts
+      && hs.hs_live = 0
+      && hs.hs_max_live = !max_live
+      && hs.hs_max_raw = !max_raw)
 
 let qcheck_engine_clock_monotone =
   QCheck.Test.make ~name:"engine clock monotone under random scheduling" ~count:100
@@ -393,6 +541,7 @@ let suites =
         Alcotest.test_case "fifo within same time" `Quick test_heap_fifo_within_same_time;
         Alcotest.test_case "random stress" `Quick test_heap_random_stress;
         QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+        QCheck_alcotest.to_alcotest qcheck_heap_differential;
       ] );
     ( "sim.engine",
       [
@@ -408,6 +557,7 @@ let suites =
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
         Alcotest.test_case "negative delay clamped" `Quick test_engine_negative_delay_clamped;
         QCheck_alcotest.to_alcotest qcheck_engine_clock_monotone;
+        QCheck_alcotest.to_alcotest qcheck_engine_differential;
       ] );
     ( "sim.clock",
       [
