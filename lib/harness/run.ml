@@ -394,6 +394,28 @@ let txn_of_spanner (r : Spanner.Client.record) =
 
 (* --- Morty / MVTSO (one multi-core group) -------------------------------- *)
 
+let initial_data = function
+  | Tpcc conf -> Workload.Tpcc.initial_data conf
+  | Retwis conf -> Workload.Retwis.initial_data conf
+  | Ycsb conf -> Workload.Ycsb.initial_data conf
+  | Smallbank conf -> Workload.Smallbank.initial_data conf
+
+let morty_cluster ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
+    ?(lineage = Obs.Lineage.null ()) ~cfg ~engine ~net ~rng e =
+  let regions = Latency.regions e.e_setup in
+  let replicas =
+    Array.init (Morty.Config.n_replicas cfg) (fun i ->
+        Morty.Replica.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:i
+          ~region:regions.(i mod Array.length regions) ~cores:e.e_cores ~prof
+          ~mon ~lineage ())
+  in
+  let peers = Array.map Morty.Replica.node replicas in
+  Array.iter (fun r -> Morty.Replica.set_peers r peers) replicas;
+  (* One copy of the initial data for the whole cluster. *)
+  let base = Mvstore.Vstore.base_of_list (initial_data e.e_workload) in
+  Array.iter (fun r -> Morty.Replica.attach_base r base) replicas;
+  replicas
+
 (* Amnesia-crash operations over a Morty replica array.  [kill] stops
    the current incarnation (dropping queued CPU work) and crashes its
    node; [restart] registers a {e fresh} replica object — empty
@@ -495,26 +517,12 @@ let run_morty ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
              else base.truncation_interval_us) }
       else base
   in
-  let replicas =
-    Array.init (Morty.Config.n_replicas cfg) (fun i ->
-        Morty.Replica.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:i
-          ~region:regions.(i mod Array.length regions) ~cores:e.e_cores ~prof
-          ~mon ~lineage ())
-  in
+  let replicas = morty_cluster ~prof ~mon ~lineage ~cfg ~engine ~net ~rng e in
   let peers = Array.map Morty.Replica.node replicas in
-  Array.iter (fun r -> Morty.Replica.set_peers r peers) replicas;
   (* [replicas] is read at dump time, so restarted incarnations show up. *)
   Obs.Monitor.register_views mon (fun () ->
       Array.to_list (Array.map Morty.Replica.state_view replicas));
   attach_flight ~engine ~net ~obs ~flight ~label:Morty.Msg.label;
-  let data =
-    match e.e_workload with
-    | Tpcc conf -> Workload.Tpcc.initial_data conf
-    | Retwis conf -> Workload.Retwis.initial_data conf
-    | Ycsb conf -> Workload.Ycsb.initial_data conf
-    | Smallbank conf -> Workload.Smallbank.initial_data conf
-  in
-  Array.iter (fun r -> Morty.Replica.load r data) replicas;
   let stats = Stats.create () in
   let warm_start = e.e_warmup_us in
   let warm_end = e.e_warmup_us + e.e_measure_us in
@@ -696,13 +704,7 @@ let run_tapir ?(no_dist = false) ?on_txn ?faults ?(obs = Obs.Sink.null ())
       |> List.concat_map (fun group ->
              Array.to_list (Array.map Tapir.Replica.state_view group)));
   attach_flight ~engine ~net ~obs ~flight ~label:Tapir.Msg.label;
-  let data =
-    match e.e_workload with
-    | Tpcc conf -> Workload.Tpcc.initial_data conf
-    | Retwis conf -> Workload.Retwis.initial_data conf
-    | Ycsb conf -> Workload.Ycsb.initial_data conf
-    | Smallbank conf -> Workload.Smallbank.initial_data conf
-  in
+  let data = initial_data e.e_workload in
   Array.iter (fun group -> Array.iter (fun r -> Tapir.Replica.load r data) group) groups;
   let stats = Stats.create () in
   let warm_start = e.e_warmup_us in
@@ -950,13 +952,7 @@ let run_spanner ?on_txn ?faults ?(obs = Obs.Sink.null ())
       Array.iter (fun r -> Spanner.Replica.set_peers r group_nodes.(g)) group)
     groups;
   let leaders = Array.map (fun g -> Spanner.Replica.node g.(0)) groups in
-  let data =
-    match e.e_workload with
-    | Tpcc conf -> Workload.Tpcc.initial_data conf
-    | Retwis conf -> Workload.Retwis.initial_data conf
-    | Ycsb conf -> Workload.Ycsb.initial_data conf
-    | Smallbank conf -> Workload.Smallbank.initial_data conf
-  in
+  let data = initial_data e.e_workload in
   Array.iter (fun group -> Array.iter (fun r -> Spanner.Replica.load r data) group) groups;
   let stats = Stats.create () in
   let warm_start = e.e_warmup_us in
@@ -1216,21 +1212,8 @@ let run_failover ?victim e ~crash_at_us ~recover_at_us ~bucket_us =
     | Mvtso -> Morty.Config.mvtso base
     | Morty | Tapir | Tapir_nodist | Spanner -> base
   in
-  let replicas =
-    Array.init (Morty.Config.n_replicas cfg) (fun i ->
-        Morty.Replica.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:i
-          ~region:regions.(i mod Array.length regions) ~cores:e.e_cores ())
-  in
+  let replicas = morty_cluster ~cfg ~engine ~net ~rng e in
   let peers = Array.map Morty.Replica.node replicas in
-  Array.iter (fun r -> Morty.Replica.set_peers r peers) replicas;
-  let data =
-    match e.e_workload with
-    | Tpcc conf -> Workload.Tpcc.initial_data conf
-    | Retwis conf -> Workload.Retwis.initial_data conf
-    | Ycsb conf -> Workload.Ycsb.initial_data conf
-    | Smallbank conf -> Workload.Smallbank.initial_data conf
-  in
-  Array.iter (fun r -> Morty.Replica.load r data) replicas;
   let horizon = e.e_warmup_us + e.e_measure_us in
   let n_buckets = (horizon / bucket_us) + 1 in
   let buckets = Array.make n_buckets 0 in

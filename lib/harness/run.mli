@@ -144,6 +144,20 @@ val run_exp_audited :
     [Explore.Audit.check], which also applies the sanity
     invariants). *)
 
+val morty_cluster :
+  ?prof:Obs.Profile.t ->
+  ?mon:Obs.Monitor.t ->
+  ?lineage:Obs.Lineage.t ->
+  cfg:Morty.Config.t ->
+  engine:Sim.Engine.t ->
+  net:Morty.Msg.t Simnet.Net.t ->
+  rng:Sim.Rng.t ->
+  exp ->
+  Morty.Replica.t array
+(** The replicas of a Morty/MVTSO run of [exp], as {!run_exp} builds
+    them before any event fires: one per region round-robin, peered,
+    each attached to the same base of the workload's initial data. *)
+
 val run_morty_with_config :
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Profile.t ->

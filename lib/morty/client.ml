@@ -47,8 +47,9 @@ and phase = Executing | Preparing of prep | Finalizing of fin | Done
 and txn = {
   ver : Version.t;
   mutable eid : int;
-  mutable slots : slot list;  (** program order *)
-  mutable ops : op list;  (** program order *)
+  mutable slots : slot list;  (** newest first *)
+  mutable n_slots : int;
+  mutable ops : op list;  (** newest first *)
   mutable phase : phase;
   mutable reexec_count : int;
   mutable next_seq : int;
@@ -246,22 +247,39 @@ let note_reason txn reason =
 
 (* --- Read/write sets of the current execution ------------------------- *)
 
+(* The log is kept newest first, so each fold below rebuilds program
+   order. *)
 let read_set_of txn =
-  List.filter_map
-    (fun s ->
+  List.fold_left
+    (fun acc s ->
       match s.s_reply with
       | Some (r_ver, r_val) when s.s_seq >= 0 ->
-        Some { Rwset.key = s.s_key; r_ver; r_val }
-      | Some _ | None -> None)
-    txn.slots
+        { Rwset.key = s.s_key; r_ver; r_val } :: acc
+      | Some _ | None -> acc)
+    [] txn.slots
 
 let write_set_of txn =
   Rwset.dedup_writes
-    (List.filter_map
-       (function
-         | Op_write (key, w_val) -> Some { Rwset.key; w_val }
-         | Op_read _ -> None)
-       txn.ops)
+    (List.fold_left
+       (fun acc op ->
+         match op with
+         | Op_write (key, w_val) -> { Rwset.key; w_val } :: acc
+         | Op_read _ -> acc)
+       [] txn.ops)
+
+(* The first slot in program order satisfying [p]: the last one in the
+   newest-first log. *)
+let first_slot txn p =
+  List.fold_left (fun found s -> if p s then Some s else found) None txn.slots
+
+(* Repeatable reads: a key's first answered read in program order. *)
+let answered_read txn key =
+  first_slot txn (fun s -> String.equal s.s_key key && s.s_reply <> None)
+
+let add_slot txn slot =
+  txn.slots <- slot :: txn.slots;
+  txn.n_slots <- txn.n_slots + 1;
+  txn.ops <- Op_read slot.s_index :: txn.ops
 
 (* --- Transaction completion ------------------------------------------- *)
 
@@ -551,22 +569,19 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
   Obs.Lineage.note_reexec t.lin ~ver:(vpair txn.ver) ~eid:txn.eid ~trigger
     ~key:slot.s_key ~aggressor ~ts:(Engine.now t.engine);
   (* Unroll: keep the operation prefix up to and including this read. *)
-  txn.slots <-
-    List.filter_map
-      (fun s ->
-        if s.s_index < idx then Some s
-        else if s.s_index = idx then begin
-          s.s_reply <- Some (w_ver, value);
-          Some s
-        end
-        else None)
-      txn.slots;
-  let rec prefix acc = function
-    | [] -> List.rev acc
-    | Op_read i :: _ when i = idx -> List.rev (Op_read i :: acc)
-    | op :: rest -> prefix (op :: acc) rest
+  let rec unroll = function
+    | s :: rest when s.s_index > idx -> unroll rest
+    | kept -> kept
   in
-  txn.ops <- prefix [] txn.ops;
+  txn.slots <- unroll txn.slots;
+  txn.n_slots <- idx + 1;
+  slot.s_reply <- Some (w_ver, value);
+  let rec unroll_ops = function
+    | [] -> txn.ops
+    | Op_read i :: _ as kept when i = idx -> kept
+    | _ :: rest -> unroll_ops rest
+  in
+  txn.ops <- unroll_ops txn.ops;
   (* The corrected read is the first observation of the new execution. *)
   Obs.Lineage.note_read t.lin ~ver:(vpair txn.ver) ~key:slot.s_key
     ~from:(vpair w_ver) ~eid:txn.eid ~ts:(Engine.now t.engine);
@@ -594,15 +609,13 @@ and consider_reexec t txn key w_ver value ~trigger =
          missed newer write) or backward (an observed write was
          retracted by an abort) — any difference re-executes. *)
       let target =
-        List.find_opt
-          (fun s ->
+        first_slot txn (fun s ->
             String.equal s.s_key key
             &&
             match s.s_reply with
             | Some (r_ver, r_val) ->
               (not (Version.equal r_ver w_ver)) || not (String.equal r_val value)
             | None -> false)
-          txn.slots
       in
       match target with
       | Some slot -> reexecute t txn slot.s_index slot w_ver value ~trigger
@@ -723,10 +736,10 @@ let ro_mk_txn t ~ver ~ro =
   let now = Engine.now t.engine in
   let txn =
     {
-      ver; eid = 0; slots = []; ops = []; phase = Executing; reexec_count = 0;
-      next_seq = 0; commit_cont = None; finished = false; t_start_us = now;
-      t_reason = None; ph_start_us = now; exec_us = 0; prep_us = 0; fin_us = 0;
-      seg_reexec = false; ro = Some ro;
+      ver; eid = 0; slots = []; n_slots = 0; ops = []; phase = Executing;
+      reexec_count = 0; next_seq = 0; commit_cont = None; finished = false;
+      t_start_us = now; t_reason = None; ph_start_us = now; exec_us = 0;
+      prep_us = 0; fin_us = 0; seg_reexec = false; ro = Some ro;
     }
   in
   Hashtbl.replace t.txns ver txn;
@@ -945,6 +958,7 @@ let begin_ t body =
       ver;
       eid = 0;
       slots = [];
+      n_slots = 0;
       ops = [];
       phase = Executing;
       reexec_count = 0;
@@ -981,12 +995,7 @@ let ro_get t ctx key cont =
   | Some (Ro_pinned p) -> (
     (* Repeatable reads: a second read of the same key returns the value
        already observed (snapshot reads are stable anyway). *)
-    let existing =
-      List.find_opt
-        (fun s -> String.equal s.s_key key && s.s_reply <> None)
-        txn.slots
-    in
-    match existing with
+    match answered_read txn key with
     | Some s ->
       let value = match s.s_reply with Some (_, v) -> v | None -> "" in
       cont ctx value
@@ -994,11 +1003,10 @@ let ro_get t ctx key cont =
       let seq = txn.next_seq in
       txn.next_seq <- seq + 1;
       let slot =
-        { s_index = List.length txn.slots; s_key = key; s_seq = seq;
+        { s_index = txn.n_slots; s_key = key; s_seq = seq;
           s_sent_us = Engine.now t.engine; s_reply = None; s_cont = cont }
       in
-      txn.slots <- txn.slots @ [ slot ];
-      txn.ops <- txn.ops @ [ Op_read slot.s_index ];
+      add_slot txn slot;
       send t p.rp_replica
         (Msg.Ro_get { snap = txn.ver; key; seq; ro_id = p.rp_id });
       (* If the pinned replica goes silent (crash, partition), re-pin
@@ -1016,24 +1024,18 @@ let get t ctx key cont =
     let txn = ctx.c_txn in
     (* Read-your-own-writes: serve from the write buffer. *)
     let own_write =
-      List.fold_left
-        (fun acc op ->
-          match op with
+      List.find_map
+        (function
           | Op_write (k, v) when String.equal k key -> Some v
-          | Op_write _ | Op_read _ -> acc)
-        None txn.ops
+          | Op_write _ | Op_read _ -> None)
+        txn.ops
     in
     match own_write with
     | Some v -> cont ctx v
     | None -> (
       (* Repeatable reads: a second read of the same key returns the
          value already observed. *)
-      let existing =
-        List.find_opt
-          (fun s -> String.equal s.s_key key && s.s_reply <> None)
-          txn.slots
-      in
-      match existing with
+      match answered_read txn key with
       | Some s ->
         let value = match s.s_reply with Some (_, v) -> v | None -> "" in
         cont ctx value
@@ -1041,11 +1043,10 @@ let get t ctx key cont =
         let seq = txn.next_seq in
         txn.next_seq <- seq + 1;
         let slot =
-          { s_index = List.length txn.slots; s_key = key; s_seq = seq;
+          { s_index = txn.n_slots; s_key = key; s_seq = seq;
             s_sent_us = Engine.now t.engine; s_reply = None; s_cont = cont }
         in
-        txn.slots <- txn.slots @ [ slot ];
-        txn.ops <- txn.ops @ [ Op_read slot.s_index ];
+        add_slot txn slot;
         send t t.closest (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
         (* Reads normally go only to the closest replica; if it is
            unreachable (crash, partition), retry on the others. *)
@@ -1068,7 +1069,7 @@ let put t ctx key value =
   if stale ctx || ctx.c_txn.ro <> None then ctx
   else begin
     let txn = ctx.c_txn in
-    txn.ops <- txn.ops @ [ Op_write (key, value) ];
+    txn.ops <- Op_write (key, value) :: txn.ops;
     broadcast t (Msg.Put { ver = txn.ver; key; value; eid = txn.eid });
     ctx
   end

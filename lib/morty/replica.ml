@@ -138,6 +138,8 @@ let recovery_view ~n_replicas ~cur_view ~index =
   (((cur_view / stride) + 1) * stride) + index + 1
 let set_peers t peers = t.peers <- peers
 let load t pairs = Mvstore.Vstore.load t.store pairs
+let attach_base t base = Mvstore.Vstore.attach t.store base
+let store t = t.store
 let decision_of t ver = Hashtbl.find_opt t.decision_log ver
 
 let committed_value_at t key ver =
@@ -551,9 +553,11 @@ and apply_commit t ver eid (read_set : Rwset.read_set) (write_set : Rwset.write_
   (match Hashtbl.find_opt t.txn_keys ver with
    | None -> ()
    | Some keys ->
+     let written = Hashtbl.create 8 in
+     List.iter (fun (w : Rwset.write) -> Hashtbl.replace written w.key ()) write_set;
      Hashtbl.iter
        (fun key () ->
-         if Rwset.write_of_key write_set key = None then begin
+         if not (Hashtbl.mem written key) then begin
            match Mvstore.Vstore.find_existing t.store key with
            | None -> ()
            | Some vr ->
@@ -976,10 +980,14 @@ and handle_truncation_finished t upto merged =
       t.erecord []
   in
   List.iter (fun k -> Hashtbl.remove t.erecord k) stale;
+  (* Only installed records can hold state below the watermark: an
+     untouched base key has just its initial write, which GC keeps. *)
   Mvstore.Vstore.iter t.store (fun _ vr -> Mvstore.Vrecord.gc_below vr upto);
   if Obs.Monitor.enabled t.mon then
     (* Store-version monotonicity across GC: truncation must retain each
-       key's newest committed write. *)
+       key's newest committed write.  The monitor tracks only keys with
+       an observed install, and installing a write installs the key's
+       record, so untouched base keys have nothing to check. *)
     Mvstore.Vstore.iter t.store (fun key vr ->
         observe t
           (Obs.Monitor.Gc_survivor
@@ -1062,6 +1070,12 @@ let handle_catchup_request t ~src =
         let s_creads = Mvstore.Vrecord.committed_reads_list vr in
         if s_versions <> [] || s_creads <> [] then
           store := { Msg.s_key = key; s_versions; s_creads } :: !store);
+    (* Untouched base keys ship as their initial write without being
+       installed here. *)
+    Mvstore.Vstore.iter_untouched t.store (fun key value ->
+        store :=
+          { Msg.s_key = key; s_versions = [ (Version.zero, value) ]; s_creads = [] }
+          :: !store);
     let erecord = snapshot_below t max_version in
     t.stats.state_transfer_msgs <- t.stats.state_transfer_msgs + 1;
     t.stats.state_transfer_bytes <-
@@ -1370,6 +1384,7 @@ let state_view t =
   Mvstore.Vstore.iter t.store (fun _ vr ->
       versions :=
         !versions + List.length (Mvstore.Vrecord.committed_writes_list vr));
+  Mvstore.Vstore.iter_untouched t.store (fun _ _ -> incr versions);
   {
     Obs.Monitor.v_replica = mon_label t;
     v_stopped = t.stopped;

@@ -87,6 +87,14 @@ val load : t -> (string * string) list -> unit
 (** Install initial data as committed at version zero (bypasses the
     protocol; call on every replica with identical data). *)
 
+val attach_base : t -> Mvstore.Vstore.base -> unit
+(** {!load} without the copy: the replicas of a run attach one shared
+    base of the initial data.  A restarted incarnation attaches
+    nothing — amnesia loses the initial data with everything else. *)
+
+val store : t -> Mvstore.Vstore.t
+(** The replica's version store (introspection and tests). *)
+
 val stats : t -> stats
 
 val watermark : t -> Cc_types.Version.t option

@@ -89,7 +89,10 @@ let increment_loop c client key ~count =
    again — the end-to-end acceptance path of the amnesia model. *)
 let test_kill_restart_catchup () =
   let c = make_cluster () in
-  load c [ ("x", "0") ];
+  (* "cold" is loaded but never touched: replicas answer it from the
+     shared base without installing a record for it. *)
+  let base = Mvstore.Vstore.base_of_list [ ("x", "0"); ("cold", "7") ] in
+  Array.iter (fun r -> Morty.Replica.attach_base r base) c.replicas;
   let client = make_client c in
   let n1 = increment_loop c client "x" ~count:5 in
   Sim.Engine.run_until c.engine ~limit:3_000_000;
@@ -102,8 +105,22 @@ let test_kill_restart_catchup () =
   let fresh = restart c 2 in
   Alcotest.(check bool) "recovering right after restart" true
     (Morty.Replica.is_recovering fresh);
+  Alcotest.(check (option string)) "amnesia loses the base too" None
+    (Morty.Replica.read_current fresh "cold");
   Sim.Engine.run_until c.engine ~limit:10_000_000;
   Alcotest.(check bool) "caught up" false (Morty.Replica.is_recovering fresh);
+  Alcotest.(check (option string)) "catch-up installs the untouched key"
+    (Some "7")
+    (Morty.Replica.read_current fresh "cold");
+  let installed r key =
+    let found = ref false in
+    Mvstore.Vstore.iter (Morty.Replica.store r) (fun k _ ->
+        if String.equal k key then found := true);
+    !found
+  in
+  Alcotest.(check (list bool)) "donors shipped it without installing it"
+    [ false; false ]
+    [ installed c.replicas.(0) "cold"; installed c.replicas.(1) "cold" ];
   let st = Morty.Replica.stats fresh in
   Alcotest.(check int) "one catch-up round" 1 st.Morty.Replica.catchups;
   Alcotest.(check bool) "catch-up latency recorded" true
@@ -224,8 +241,10 @@ let test_harness_counters_and_guard () =
   Alcotest.(check int) "one catch-up completed" 1 rc.Harness.Stats.rc_catchups;
   Alcotest.(check bool) "state transfer from a donor quorum" true
     (rc.Harness.Stats.rc_transfer_msgs >= 2);
-  Alcotest.(check bool) "transfer payload accounted" true
-    (rc.Harness.Stats.rc_transfer_bytes > 0);
+  (* Pinned: donors ship untouched keys of the shared base as their
+     initial write, so the payload is what a full private copy sent. *)
+  Alcotest.(check int) "transfer payload accounted" 23770
+    rc.Harness.Stats.rc_transfer_bytes;
   Alcotest.(check bool) "catch-up latency accounted" true
     (rc.Harness.Stats.rc_catchup_wait_us > 0);
   Alcotest.(check bool) "made progress" true (r.Harness.Stats.r_committed > 0)
